@@ -20,8 +20,14 @@ quadrature points; together with the ``A' = r A_phi`` substitution this keeps
 elements touching the axis regular (the Dirichlet condition fixes A' = 0 on
 the axis anyway).
 
-Assembly loops run in fixed element order with symmetric element matrices, so
-the global matrices are exactly symmetric and bit-reproducible.
+Assembly is batched over elements and bit-identical to a per-element loop
+(the reference forms are in ``tests/oracles.py``): element matrices come from
+elementwise arithmetic, each mass-like element matrix is one ``np.dot`` (gemv)
+of the element's quadrature weights with the hat products (a batched einsum or
+matmul reorders the quadrature sum and moves the last bits), and
+:func:`_scatter` feeds one COO accumulation in element-major ``(e, a, b)``
+order, so duplicates are summed in a fixed order.  The hat products are bitwise
+symmetric, so K and M are exactly symmetric.
 """
 
 from __future__ import annotations
@@ -163,10 +169,28 @@ def _quad_points(mesh: Mesh, degree: int):
     return bary, weights, pts
 
 
-def _accumulate(rows, cols, vals, n_dofs) -> sp.csr_matrix:
+def _per_element(regions: np.ndarray, materials: MaterialSpec, pick) -> np.ndarray:
+    """``pick(material)`` for every element, looked up once per region tag."""
+    tags, inverse = np.unique(regions, return_inverse=True)
+    table = np.array([pick(materials.material(tag)) for tag in tags], dtype=float)
+    return table[inverse]
+
+
+def _scatter(idx: np.ndarray, vals: np.ndarray, n_dofs: int) -> sp.csr_matrix:
+    """Sum element matrices into a CSR matrix of ``n_blocks`` stacked blocks.
+
+    ``idx`` is ``(m, 3)`` DoF indices (-1 for a constrained node) and ``vals``
+    is ``(n_blocks, m, 9)``.  Block ``k`` fills rows ``k * n_dofs`` onward.
+    Entries enter the COO in element-major ``(e, a, b)`` order.
+    """
+    n_blocks, m = vals.shape[:2]
+    keep = ((idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)).reshape(m, 9)
+    rows = np.broadcast_to(idx[:, :, None], (m, 3, 3)).reshape(m, 9)[keep]
+    cols = np.broadcast_to(idx[:, None, :], (m, 3, 3)).reshape(m, 9)[keep]
+    offsets = n_dofs * np.arange(n_blocks)[:, None]
     coo = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_dofs, n_dofs),
+        (vals[:, keep].ravel(), ((offsets + rows).ravel(), np.tile(cols, n_blocks))),
+        shape=(n_blocks * n_dofs, n_dofs),
     )
     return canonical_csr(coo)
 
@@ -176,65 +200,66 @@ def assemble_stiffness(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretiz
     area, grad_r, grad_z = _element_geometry(mesh)
     _, weights, pts = _quad_points(mesh, disc.quad_degree)
     inv_r = np.einsum("q,mq->m", weights, 1.0 / pts[:, :, 0])
-    rows, cols, vals = [], [], []
-    dof = disc.dof_index
-    for e in range(mesh.n_triangles):
-        mat = materials.material(mesh.regions[e])
-        nu_r, nu_z = mat.nu
-        gr, gz = grad_r[e], grad_z[e]
-        ke = (TWO_PI * area[e] * inv_r[e]) * (nu_r * np.outer(gz, gz) + nu_z * np.outer(gr, gr))
-        idx = dof[mesh.triangles[e]]
-        keep = idx >= 0
-        if not np.any(keep):
-            continue
-        sub = ke[np.ix_(keep, keep)]
-        ii = idx[keep]
-        rows.append(np.repeat(ii, ii.size))
-        cols.append(np.tile(ii, ii.size))
-        vals.append(sub.ravel())
-    if not rows:
-        return sp.csr_matrix((disc.n_dofs, disc.n_dofs))
-    return _accumulate(rows, cols, vals, disc.n_dofs)
+    nu_r = _per_element(mesh.regions, materials, lambda mat: mat.nu[0])[:, None, None]
+    nu_z = _per_element(mesh.regions, materials, lambda mat: mat.nu[1])[:, None, None]
+    gz_gz = grad_z[:, :, None] * grad_z[:, None, :]
+    gr_gr = grad_r[:, :, None] * grad_r[:, None, :]
+    ke = (TWO_PI * area * inv_r)[:, None, None] * (nu_r * gz_gz + nu_z * gr_gr)
+    return _scatter(disc.dof_index[mesh.triangles], ke.reshape(1, -1, 9), disc.n_dofs)
 
 
-def _mass_like(mesh, materials, disc, element_filter, profile) -> sp.csr_matrix:
-    """Shared kernel for the conduction mass matrix and its modified variants."""
-    area, _, _ = _element_geometry(mesh)
-    bary, weights, pts = _quad_points(mesh, disc.quad_degree)
-    rows, cols, vals = [], [], []
-    dof = disc.dof_index
-    # hat_products[q, a, b] = N_a(q) * N_b(q) is bitwise symmetric, so the
-    # contraction over q below yields exactly symmetric element matrices
-    hat_products = bary[:, :, None] * bary[:, None, :]
-    for e in range(mesh.n_triangles):
-        tag = int(mesh.regions[e])
-        if not element_filter(tag):
-            continue
-        sigma_axial = materials.material(tag).sigma[1]
-        if sigma_axial == 0.0:
-            continue
-        r_q = pts[e, :, 0]
-        w_eff = weights * sigma_axial / r_q
-        if profile is not None:
-            w_eff = w_eff * profile(r_q, pts[e, :, 1])
-        me = (TWO_PI * area[e]) * np.tensordot(w_eff, hat_products, axes=1)
-        idx = dof[mesh.triangles[e]]
-        keep = idx >= 0
-        if not np.any(keep):
-            continue
-        sub = me[np.ix_(keep, keep)]
-        ii = idx[keep]
-        rows.append(np.repeat(ii, ii.size))
-        cols.append(np.tile(ii, ii.size))
-        vals.append(sub.ravel())
-    if not rows:
-        return sp.csr_matrix((disc.n_dofs, disc.n_dofs))
-    return _accumulate(rows, cols, vals, disc.n_dofs)
+def conduction_quadrature(
+    mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization, tag: int | None = None
+):
+    """Quadrature data of the conductive elements, of region ``tag`` or of all regions.
+
+    Returns ``(elements, r, z, w_eff, scale)``: the element indices, the
+    ``(m, q)`` quadrature point coordinates, ``w_eff = w_q * sigma / r_q`` and
+    ``scale = 2*pi*area``.  An element's mass entry weighted by ``profile`` is
+    ``scale * sum_q w_eff * profile(r, z) * N_a * N_b``.
+    """
+    elements = np.arange(mesh.n_triangles) if tag is None else np.flatnonzero(mesh.regions == tag)
+    sigma = _per_element(mesh.regions[elements], materials, lambda mat: mat.sigma[1])
+    elements, sigma = elements[sigma != 0.0], sigma[sigma != 0.0]
+    _, weights, pts = _quad_points(mesh, disc.quad_degree)
+    r, z = pts[elements, :, 0], pts[elements, :, 1]
+    scale = TWO_PI * mesh.triangle_areas()[elements]
+    return elements, r, z, weights * sigma[:, None] / r, scale
+
+
+def _mass_like(mesh, materials, disc, tag, profiles) -> sp.csr_matrix:
+    """Shared kernel: one (profile-weighted) conduction mass block per profile."""
+    elements, r, z, w_eff, scale = conduction_quadrature(mesh, materials, disc, tag)
+    bary = QUADRATURE_RULES[disc.quad_degree][0]
+    hat_products = (bary[:, :, None] * bary[:, None, :]).reshape(-1, 9)
+    vals = np.empty((len(profiles), elements.size, 9))
+    for k, profile in enumerate(profiles):
+        w = w_eff if profile is None else w_eff * profile(r, z)
+        for e, w_e in enumerate(w):
+            np.dot(w_e, hat_products, out=vals[k, e])
+    vals *= scale[:, None]
+    return _scatter(disc.dof_index[mesh.triangles[elements]], vals, disc.n_dofs)
 
 
 def assemble_mass(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization) -> sp.csr_matrix:
     """Conduction mass matrix over all conductive regions."""
-    return _mass_like(mesh, materials, disc, lambda tag: True, None)
+    return _mass_like(mesh, materials, disc, None, [None])
+
+
+def assemble_profile_masses(
+    mesh: Mesh,
+    materials: MaterialSpec,
+    disc: FieldDiscretization,
+    profiles,
+) -> sp.csr_matrix:
+    """Winding mass matrices weighted by each profile, stacked vertically.
+
+    Returns one ``(len(profiles) * n_dofs, n_dofs)`` CSR matrix.  Every
+    ``profile(r, z)`` is evaluated on ``(m, q)`` arrays of quadrature points
+    and must vanish outside the winding region; only winding-tagged elements
+    are visited.
+    """
+    return _mass_like(mesh, materials, disc, int(RegionTag.FOIL_WINDING), profiles)
 
 
 def assemble_modified_mass(
@@ -243,14 +268,8 @@ def assemble_modified_mass(
     disc: FieldDiscretization,
     profile: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> sp.csr_matrix:
-    """Mass matrix weighted by one voltage-basis profile.
-
-    ``profile(r, z)`` must vanish outside the winding region; only
-    winding-tagged elements are visited.
-    """
-    return _mass_like(
-        mesh, materials, disc, lambda tag: tag == int(RegionTag.FOIL_WINDING), profile
-    )
+    """Mass matrix weighted by one voltage-basis profile."""
+    return assemble_profile_masses(mesh, materials, disc, [profile])
 
 
 def assemble_double_modified_mass(
@@ -261,8 +280,6 @@ def assemble_double_modified_mass(
     profile_l: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> sp.csr_matrix:
     """Mass matrix weighted by a product of two voltage-basis profiles."""
-
-    def product(r, z):
-        return profile_k(r, z) * profile_l(r, z)
-
-    return _mass_like(mesh, materials, disc, lambda tag: tag == int(RegionTag.FOIL_WINDING), product)
+    return assemble_profile_masses(
+        mesh, materials, disc, [lambda r, z: profile_k(r, z) * profile_l(r, z)]
+    )

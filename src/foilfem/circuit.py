@@ -533,13 +533,13 @@ def mna_stamp(netlist: Netlist, field_systems: Mapping | None = None) -> DAESyst
                 # field rows: M da/dt + K a - x_sol (phi_p - phi_q) = 0
                 add_block(E_bucket, system.M, a_sl.start, a_sl.start)
                 add_block(A_bucket, system.K, a_sl.start, a_sl.start)
-                x_sol = system.x_sol
-                for idx, val in enumerate(x_sol):
-                    add(A_bucket, a_sl.start + idx, p, -val)
-                    add(A_bucket, a_sl.start + idx, q, val)
+                x_col = system.x_sol[:, None]
+                if p >= 0:
+                    add_block(A_bucket, x_col, a_sl.start, p, scale=-1.0)
+                if q >= 0:
+                    add_block(A_bucket, x_col, a_sl.start, q)
                 # terminal row: -x_sol^T da/dt + G_sol (phi_p - phi_q) - i = 0
-                for idx, val in enumerate(x_sol):
-                    add(E_bucket, j, a_sl.start + idx, -val)
+                add_block(E_bucket, x_col.T, j, a_sl.start, scale=-1.0)
                 add(A_bucket, j, p, system.G_sol)
                 add(A_bucket, j, q, -system.G_sol)
                 add(A_bucket, j, j, -1.0)

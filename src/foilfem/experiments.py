@@ -338,22 +338,15 @@ def run_classify(cfg: ExperimentConfig) -> str:
         lines.append(f"--- mode {mode} ---")
         lines.append(cls.as_report())
     lines.append("--- refinement trend ---")
-    m = mesh
     for level in range(3):
-        disc = FieldDiscretization.from_mesh(m)
-        spec = build_winding_spec(cfg)
-        materials = device_materials(
-            spec, yoke_sigma=cfg.yoke_conductivity, yoke_mu_r=cfg.yoke_permeability
-        )
-        basis = VoltageBasis(cfg.n_basis, family=cfg.basis_family)
-        sys_l = assemble_foil_system(m, materials=materials, disc=disc, spec=spec, basis=basis)
-        measure = singular_perturbation_measure(sys_l.G, sys_l.G_e, sys_l.c)
+        if level:
+            mesh = refine_uniform(mesh)
+            system, _, _ = build_system(cfg, mesh)
+        measure = singular_perturbation_measure(system.G, system.G_e, system.c)
         lines.append(
-            f"refine x{level}: nodes = {m.n_nodes}, frob(G - Ge) = {measure.frob_diff:.6e}, "
-            f"rank(X) = {rank(sys_l.X, 1e-10)}"
+            f"refine x{level}: nodes = {mesh.n_nodes}, frob(G - Ge) = {measure.frob_diff:.6e}, "
+            f"rank(X) = {rank(system.X, 1e-10)}"
         )
-        if level < 2:
-            m = refine_uniform(m)
     return "\n".join(lines) + "\n"
 
 

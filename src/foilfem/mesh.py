@@ -80,19 +80,29 @@ class Mesh:
         return float(self.triangle_areas()[self.regions == int(tag)].sum())
 
     def edge_counts(self) -> dict:
-        """Map sorted edge -> number of adjacent triangles."""
-        counts: dict = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (int(a), int(b)) if a < b else (int(b), int(a))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+        """Map sorted edge -> number of adjacent triangles, edges in ascending order."""
+        edges, _, _, counts = _edge_table(self.triangles)
+        return dict(zip(map(tuple, edges.tolist()), counts.tolist()))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _edge_table(triangles: np.ndarray):
+    """One ``np.unique`` pass over the edge occurrences ``(ab, bc, ca)`` of each triangle.
+
+    Returns the ascending sorted node pairs ``(k, 2)``, each one's first
+    occurrence, the edge of every occurrence and the adjacent-triangle counts.
+    """
+    pairs = np.sort(triangles.astype(np.int64)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    n = int(pairs.max()) + 1 if pairs.size else 1
+    keys, first, inverse, counts = np.unique(
+        pairs[:, 0] * n + pairs[:, 1], return_index=True, return_inverse=True, return_counts=True
+    )
+    return np.column_stack([keys // n, keys % n]), first, inverse, counts
 
 
 def validate_mesh(mesh: Mesh) -> None:
@@ -112,17 +122,11 @@ def validate_mesh(mesh: Mesh) -> None:
         raise ValidationError("region tag count mismatch")
     if mesh.boundary.shape[0] != mesh.n_nodes:
         raise ValidationError("boundary flag count mismatch")
-    counts = mesh.edge_counts()
-    bad = [e for e, c in counts.items() if c > 2]
-    if bad:
-        raise ValidationError(f"non-conforming edge shared by >2 triangles: {bad[0]}")
-    boundary_nodes = set()
-    for (a, b), c in counts.items():
-        if c == 1:
-            boundary_nodes.add(a)
-            boundary_nodes.add(b)
-    flagged = set(np.flatnonzero(mesh.boundary).tolist())
-    if flagged != boundary_nodes:
+    edges, _, _, counts = _edge_table(mesh.triangles)
+    bad = edges[counts > 2]
+    if bad.size:
+        raise ValidationError(f"non-conforming edge shared by >2 triangles: {tuple(bad[0].tolist())}")
+    if not np.array_equal(np.unique(edges[counts == 1]), np.flatnonzero(mesh.boundary)):
         raise ValidationError("boundary flags do not match topological boundary")
 
 
@@ -207,7 +211,11 @@ def _ticks(breaks, h: float) -> np.ndarray:
 
 
 def tensor_mesh(r_ticks, z_ticks, region_of) -> Mesh:
-    """Triangulate the tensor grid, tagging each triangle by its centroid."""
+    """Triangulate the tensor grid, tagging each triangle by its centroid.
+
+    Cells run r-fastest and split into ``(a, b, c)``, ``(a, c, d)`` from the
+    lower-left corner ``a``, counterclockwise.
+    """
     r_ticks = np.asarray(r_ticks, dtype=float)
     z_ticks = np.asarray(z_ticks, dtype=float)
     nr, nz = r_ticks.size, z_ticks.size
@@ -215,34 +223,15 @@ def tensor_mesh(r_ticks, z_ticks, region_of) -> Mesh:
         raise DegenerateGeometryError("need at least a 2x2 tick grid")
     rr, zz = np.meshgrid(r_ticks, z_ticks)  # index [iz, ir]
     nodes = np.column_stack([rr.ravel(), zz.ravel()])
-
-    def nid(ir, iz):
-        return iz * nr + ir
-
-    tris = []
-    tags = []
-    for iz in range(nz - 1):
-        for ir in range(nr - 1):
-            a = nid(ir, iz)
-            b = nid(ir + 1, iz)
-            c = nid(ir + 1, iz + 1)
-            d = nid(ir, iz + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-            for tri in ((a, b, c), (a, c, d)):
-                pr = nodes[list(tri), 0].mean()
-                pz = nodes[list(tri), 1].mean()
-                tags.append(int(region_of(pr, pz)))
-    triangles = np.asarray(tris, dtype=np.int32)
-    regions = np.asarray(tags, dtype=np.int32)
-    boundary = np.zeros(nodes.shape[0], dtype=bool)
-    for iz in range(nz):
-        boundary[nid(0, iz)] = True
-        boundary[nid(nr - 1, iz)] = True
-    for ir in range(nr):
-        boundary[nid(ir, 0)] = True
-        boundary[nid(ir, nz - 1)] = True
-    mesh = Mesh(nodes, triangles, regions, boundary)
+    ids = np.arange(nr * nz).reshape(nz, nr)
+    a, b = ids[:-1, :-1], ids[:-1, 1:]
+    d, c = ids[1:, :-1], ids[1:, 1:]
+    triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    centroids = nodes[triangles].mean(axis=1)
+    regions = [int(region_of(r, z)) for r, z in centroids.tolist()]
+    boundary = np.ones((nz, nr), dtype=bool)
+    boundary[1:-1, 1:-1] = False
+    mesh = Mesh(nodes, triangles, regions, boundary.ravel())
     validate_mesh(mesh)
     return mesh
 
@@ -288,36 +277,25 @@ def generate_parametric_mesh(geom: GeometrySpec, h: float) -> Mesh:
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
-    """Split every triangle into four via edge midpoints; tags are inherited."""
-    nodes = [tuple(p) for p in mesh.nodes]
-    edge_mid: dict = {}
-    counts = mesh.edge_counts()
+    """Split every triangle into four via edge midpoints; tags are inherited.
 
-    def midpoint(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = edge_mid.get(key)
-        if idx is None:
-            pa, pb = mesh.nodes[a], mesh.nodes[b]
-            nodes.append((0.5 * (pa[0] + pb[0]), 0.5 * (pa[1] + pb[1])))
-            idx = len(nodes) - 1
-            edge_mid[key] = idx
-        return idx
-
-    tris = []
-    tags = []
-    for t, tag in zip(mesh.triangles, mesh.regions):
-        a, b, c = (int(t[0]), int(t[1]), int(t[2]))
-        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-        tags.extend([tag] * 4)
-
-    boundary = np.zeros(len(nodes), dtype=bool)
-    boundary[: mesh.n_nodes] = mesh.boundary
-    for (a, b), idx in edge_mid.items():
-        if counts[(a, b)] == 1:
-            boundary[idx] = True
-    refined = Mesh(np.asarray(nodes), np.asarray(tris, dtype=np.int32),
-                   np.asarray(tags, dtype=np.int32), boundary)
+    Midpoints are numbered after the parent nodes in the order their edges are
+    first met, triangle by triangle as ``(ab, bc, ca)``.
+    """
+    edges, first, inverse, counts = _edge_table(mesh.triangles)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(mesh.n_nodes, mesh.n_nodes + order.size)
+    mab, mbc, mca = number[inverse].reshape(-1, 3).T
+    a, b, c = mesh.triangles.T
+    triangles = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], -1).reshape(-1, 3)
+    ends = mesh.nodes[edges[order]]
+    refined = Mesh(
+        np.concatenate([mesh.nodes, 0.5 * (ends[:, 0] + ends[:, 1])]),
+        triangles,
+        np.repeat(mesh.regions, 4),
+        np.concatenate([mesh.boundary, counts[order] == 1]),
+    )
     validate_mesh(refined)
     return refined
 

@@ -30,13 +30,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (
+    QUADRATURE_RULES,
     FieldDiscretization,
     MaterialSpec,
     RegionMaterial,
-    assemble_double_modified_mass,
     assemble_mass,
-    assemble_modified_mass,
+    assemble_profile_masses,
     assemble_stiffness,
+    conduction_quadrature,
 )
 from .errors import EmptyWindingError, ValidationError
 from .linalg import RestrictedSpdSolver, canonical_csr
@@ -244,32 +245,30 @@ def distribution_line_integrals(mesh: Mesh, disc: FieldDiscretization, x, points
 
 
 def evaluate_p1(mesh: Mesh, nodal_values, points) -> np.ndarray:
-    """Evaluate a P1 nodal field at arbitrary points (brute-force location)."""
+    """Evaluate a P1 nodal field at points, each in the lowest-numbered element
+    whose barycentric coordinates are all >= -1e-12 (NaN outside the mesh)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.full(pts.shape[0], np.nan)
     p = mesh.nodes[mesh.triangles]
+    r1, z1, r2, z2, r3, z3 = (p[:, a, d] for a in range(3) for d in range(2))
+    det = (r2 - r1) * (z3 - z1) - (r3 - r1) * (z2 - z1)
+    out = np.full(pts.shape[0], np.nan)
     for i, (r, z) in enumerate(pts):
-        for e in range(mesh.n_triangles):
-            (r1, z1), (r2, z2), (r3, z3) = p[e]
-            det = (r2 - r1) * (z3 - z1) - (r3 - r1) * (z2 - z1)
-            l2 = ((r - r1) * (z3 - z1) - (z - z1) * (r3 - r1)) / det
-            l3 = ((r2 - r1) * (z - z1) - (z2 - z1) * (r - r1)) / det
-            l1 = 1.0 - l2 - l3
-            if min(l1, l2, l3) >= -1e-12:
-                vals = nodal_values[mesh.triangles[e]]
-                out[i] = l1 * vals[0] + l2 * vals[1] + l3 * vals[2]
-                break
+        l2 = ((r - r1) * (z3 - z1) - (z - z1) * (r3 - r1)) / det
+        l3 = ((r2 - r1) * (z - z1) - (z2 - z1) * (r - r1)) / det
+        l1 = 1.0 - l2 - l3
+        hits = np.flatnonzero((l1 >= -1e-12) & (l2 >= -1e-12) & (l3 >= -1e-12))
+        if hits.size:
+            e = hits[0]
+            vals = nodal_values[mesh.triangles[e]]
+            out[i] = l1[e] * vals[0] + l2[e] * vals[1] + l3[e] * vals[2]
     return out
 
 
 def conductive_support(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization) -> np.ndarray:
     """DoF indices adjacent to at least one conductive element."""
-    nodes = set()
-    for e in range(mesh.n_triangles):
-        if materials.material(mesh.regions[e]).sigma[1] > 0.0:
-            nodes.update(int(n) for n in mesh.triangles[e])
-    dofs = disc.dof_index[sorted(nodes)]
-    return np.asarray(sorted(int(d) for d in dofs if d >= 0), dtype=np.intp)
+    elements = conduction_quadrature(mesh, materials, disc)[0]
+    dofs = disc.dof_index[np.unique(mesh.triangles[elements])]
+    return np.sort(dofs[dofs >= 0]).astype(np.intp)
 
 
 def assemble_c(n_turns: int, basis: VoltageBasis) -> np.ndarray:
@@ -285,14 +284,13 @@ def assemble_X(
     basis: VoltageBasis,
     x: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Coupling block: column ``l`` is ``M^(l) x`` (algebraic route)."""
+    """Coupling block: column ``l`` is ``M^(l) x``, one matvec on the stacked ``M^(l)``."""
     if x is None:
         x = distribution_coefficients(mesh, disc)
-    cols = []
-    for l in range(basis.n_functions):
-        m_l = assemble_modified_mass(mesh, materials, disc, profile_for(spec, basis, l))
-        cols.append(m_l @ x)
-    return np.column_stack(cols)
+    n = basis.n_functions
+    profiles = [profile_for(spec, basis, l) for l in range(n)]
+    stacked = assemble_profile_masses(mesh, materials, disc, profiles)
+    return np.ascontiguousarray((stacked @ x).reshape(n, disc.n_dofs).T)
 
 
 def assemble_G_original(
@@ -303,18 +301,17 @@ def assemble_G_original(
     basis: VoltageBasis,
     x: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Turn-by-turn conductance from the double-profile mass matrices."""
+    """Turn-by-turn conductance ``G_kl = x^T M^(kl) x`` as the direct quadrature sum
+    ``sum_e 2 pi area_e sum_q w_q sigma phi_k phi_l x_q^2 / r_q`` over the winding."""
     if x is None:
         x = distribution_coefficients(mesh, disc)
-    n = basis.n_functions
-    g = np.zeros((n, n))
-    for k in range(n):
-        for l in range(k, n):
-            m_kl = assemble_double_modified_mass(
-                mesh, materials, disc, profile_for(spec, basis, k), profile_for(spec, basis, l)
-            )
-            g[k, l] = g[l, k] = float(x @ (m_kl @ x))
-    return g
+    tag = RegionTag.FOIL_WINDING
+    elements, r, _, w_eff, scale = conduction_quadrature(mesh, materials, disc, tag)
+    nodal = np.where(disc.dof_index >= 0, np.asarray(x)[disc.dof_index], 0.0)
+    x_q = nodal[mesh.triangles[elements]] @ QUADRATURE_RULES[disc.quad_degree][0].T
+    phi = np.stack([basis.eval(l, spec.alpha_normalized(r)) for l in range(basis.n_functions)])
+    g = np.einsum("kmq,lmq,mq->kl", phi, phi, scale[:, None] * w_eff * x_q**2)
+    return 0.5 * (g + g.T)
 
 
 def assemble_G_consistent(
