@@ -10,21 +10,22 @@ Subcommands::
     foilfem fig5                   exact G vs consistent Ge mesh study (current drive)
     foilfem demo-inductor          lumped-inductor analytic demonstrations
 
-Shared flags: ``--config <path>`` loads a flat ``key = value`` file, explicit
-flags override file values, ``--out`` selects the output directory and
-``--format`` picks csv, svg or both.  ``--seed`` is recorded for reproducible
-randomized test harnesses; the experiment pipeline itself is deterministic.
+Every subcommand takes ``--config <path>``, a flat ``key = value`` file, and
+``--out``, the output directory.  Each declares only the behaviour flags it
+reads (``SUBCOMMAND_FLAGS``); explicit flags override file values.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
 from .experiments import (
+    DRIVES,
+    MODES,
     ExperimentConfig,
     build_mesh,
     build_system,
@@ -41,39 +42,34 @@ from .experiments import (
 )
 from .linalg import write_matrix_market
 from .mesh import RegionTag, read_mesh, refine_uniform, write_mesh
-from .winding import save_system
+from .winding import BASIS_FAMILIES, save_system
 
-
-def _add_common(parser):
-    parser.add_argument("--config", type=str, default=None, help="flat key = value config file")
-    parser.add_argument("--out", type=str, default="out", help="output directory")
-    parser.add_argument("--format", choices=("csv", "svg", "both"), default="both")
-    parser.add_argument("--seed", type=int, default=None, help="seed recorded in the config")
-    parser.add_argument("--mesh-level", type=int, default=None, dest="mesh_level")
-    parser.add_argument("--mode", choices=("G", "Ge", "SOLID"), default=None)
-    parser.add_argument("--drive", choices=("v", "i"), default=None)
-    parser.add_argument("--dt", type=float, default=None)
-    parser.add_argument("--duration", type=float, default=None)
-    parser.add_argument("--basis", choices=("legendre", "hat"), default=None)
+# behaviour flags; the dest of each one but --format is an ExperimentConfig key
+BEHAVIOUR_FLAGS = {
+    "--format": dict(choices=("csv", "svg", "both"), default="both"),
+    "--mesh-level": dict(type=int),
+    "--mode": dict(choices=MODES),
+    "--drive": dict(choices=DRIVES),
+    "--dt": dict(type=float),
+    "--duration": dict(type=float),
+    "--basis": dict(choices=BASIS_FAMILIES, dest="basis_family"),
+}
+# the behaviour flags each subcommand reads; any other one is an argparse error
+SUBCOMMAND_FLAGS = {
+    "mesh": ("--mesh-level",),
+    "assemble": ("--mesh-level", "--basis"),
+    "classify": ("--mesh-level", "--basis"),
+    "simulate": ("--format", "--mesh-level", "--mode", "--drive", "--dt", "--duration", "--basis"),
+    "fig4": ("--duration", "--basis"),
+    "fig5": ("--duration", "--basis"),
+    "demo-inductor": ("--dt", "--duration"),
+}
 
 
 def _config_from(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mesh_level is not None:
-        overrides["mesh_level"] = args.mesh_level
-    if getattr(args, "mode", None):
-        overrides["mode"] = args.mode
-    if getattr(args, "drive", None):
-        overrides["drive"] = args.drive
-    if getattr(args, "dt", None):
-        overrides["dt"] = args.dt
-    if getattr(args, "duration", None):
-        overrides["duration"] = args.duration
-    if getattr(args, "basis", None):
-        overrides["basis_family"] = args.basis
+    keys = {f.name for f in fields(ExperimentConfig)}
+    overrides = {key: v for key, v in vars(args).items() if key in keys and v is not None}
     return replace(cfg, **overrides)
 
 
@@ -145,7 +141,7 @@ def cmd_simulate(args) -> int:
     if args.format in ("svg", "both"):
         trace = series.voltages["FW1"] if cfg.drive == "i" else series.currents["FW1"]
         label = "v [V]" if cfg.drive == "i" else "i [A]"
-        emit_svg_plot(out / f"{stem}.svg", [(cfg.mode, series.times, trace)],
+        emit_svg_plot(out / f"{stem}.svg", [(cfg.mode, series.times, trace, series.diverged_at)],
                       xlabel="t [s]", ylabel=label)
         print(f"wrote {out / (stem + '.svg')}")
     probe = series.voltages["FW1"] if cfg.drive == "i" else series.currents["FW1"]
@@ -185,51 +181,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"foilfem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mesh = sub.add_parser("mesh", help="generate, refine or inspect meshes")
-    p_mesh.add_argument("mesh_action", choices=("gen", "refine", "info"))
-    p_mesh.add_argument("--mesh", type=str, default=None, help="mesh file (refine/info)")
-    _add_common(p_mesh)
-    p_mesh.set_defaults(func=cmd_mesh)
-
-    p_asm = sub.add_parser("assemble", help="assemble and save the coupled system")
-    p_asm.add_argument("--mtx", action="store_true", help="also dump Matrix Market files")
-    _add_common(p_asm)
-    p_asm.set_defaults(func=cmd_assemble)
-
-    p_cls = sub.add_parser("classify", help="element classification report")
-    _add_common(p_cls)
-    p_cls.set_defaults(func=cmd_classify)
-
-    p_sim = sub.add_parser("simulate", help="one transient run")
-    _add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_f4 = sub.add_parser("fig4", help="perturbation-sensitivity study")
-    _add_common(p_f4)
-    p_f4.set_defaults(func=cmd_fig4)
-
-    p_f5 = sub.add_parser(
-        "fig5",
-        help="conductance-variant mesh study: the exact, mesh-free original G "
-        "against the consistent Ge on a coarse and a fine mesh; defaults to the "
-        "hat basis family, whose profiles are not exactly representable on the "
-        "mesh, so the coarse run with G diverges",
+    commands = {
+        "mesh": (cmd_mesh, "generate, refine or inspect meshes"),
+        "assemble": (cmd_assemble, "assemble and save the coupled system"),
+        "classify": (cmd_classify, "element classification report"),
+        "simulate": (cmd_simulate, "one transient run"),
+        "fig4": (cmd_fig4, "perturbation-sensitivity study"),
+        "fig5": (
+            cmd_fig5,
+            "conductance-variant mesh study: the exact, mesh-free original G "
+            "against the consistent Ge on a coarse and a fine mesh; defaults to the "
+            "hat basis family, whose profiles are not exactly representable on the "
+            "mesh, so the coarse run with G diverges",
+        ),
+        "demo-inductor": (cmd_demo_inductor, "lumped-inductor analytics"),
+    }
+    subparsers = {}
+    for name, (func, help_text) in commands.items():
+        p = subparsers[name] = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", type=str, default=None, help="flat key = value config file")
+        p.add_argument("--out", type=str, default="out", help="output directory")
+        for flag in SUBCOMMAND_FLAGS[name]:
+            p.add_argument(flag, **BEHAVIOUR_FLAGS[flag])
+        p.set_defaults(func=func)
+    subparsers["mesh"].add_argument("mesh_action", choices=("gen", "refine", "info"))
+    subparsers["mesh"].add_argument("--mesh", type=str, default=None, help="mesh file (refine/info)")
+    subparsers["assemble"].add_argument(
+        "--mtx", action="store_true", help="also dump Matrix Market files"
     )
-    _add_common(p_f5)
-    p_f5.set_defaults(func=cmd_fig5)
-
-    p_demo = sub.add_parser("demo-inductor", help="lumped-inductor analytics")
-    _add_common(p_demo)
-    p_demo.set_defaults(func=cmd_demo_inductor)
+    subparsers["fig5"].set_defaults(basis_family="hat")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "fig5" and args.basis is None:
-        args.basis = "hat"
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

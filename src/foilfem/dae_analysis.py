@@ -29,8 +29,10 @@ from .errors import (
 from .linalg import canonical_csr, nullspace_basis
 from .winding import AssembledFoilSystem
 
-DENSE_SIZE_GUARD = 500
-KERNEL_TOL = 1e-10
+DENSE_SIZE_GUARD = 500  # largest DoF count of the dense projector diagnostics
+KERNEL_TOL = 1e-10  # eigenvalues below KERNEL_TOL * max|lambda| span a kernel
+COND_LIMIT = 1e12  # largest condition number of Ge for the Schur reduction
+INDEFINITE_RTOL = 1e-8  # most negative eig(G - Ge) allowed, relative to ||G||
 
 
 @dataclass(frozen=True)
@@ -42,15 +44,15 @@ class StrandedForm:
     R: float
 
 
-def schur_stranded_form(sys: AssembledFoilSystem, cond_limit: float = 1e12) -> StrandedForm:
+def schur_stranded_form(sys: AssembledFoilSystem) -> StrandedForm:
     """Eliminate the voltage coefficients using the consistent conductance.
 
     Raises :class:`SingularConductanceError` when ``Ge`` is numerically
-    singular (condition number above ``cond_limit``), which violates the
+    singular (condition number above ``COND_LIMIT``), which violates the
     full-column-rank coupling assumption.
     """
     ge = sys.G_e
-    if not np.all(np.isfinite(ge)) or np.linalg.cond(ge) > cond_limit:
+    if not np.all(np.isfinite(ge)) or np.linalg.cond(ge) > COND_LIMIT:
         raise SingularConductanceError("consistent conductance is numerically singular")
     rows = np.flatnonzero(np.abs(sys.X).sum(axis=1))
     x_s = sys.X[rows]
@@ -73,32 +75,29 @@ class ProjectorPair:
     P: np.ndarray
 
 
-def build_projectors(a, tol: float = KERNEL_TOL, size_guard: int = DENSE_SIZE_GUARD) -> ProjectorPair:
+def build_projectors(a) -> ProjectorPair:
     """Projector onto the numerical kernel of a symmetric matrix (dense, guarded)."""
     if sp.issparse(a):
         a = a.toarray()
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    if n > size_guard:
-        raise SizeGuardError(f"dense projector construction limited to {size_guard} DoFs, got {n}")
-    basis = nullspace_basis(a, tol)
+    if n > DENSE_SIZE_GUARD:
+        raise SizeGuardError(
+            f"dense projector construction limited to {DENSE_SIZE_GUARD} DoFs, got {n}"
+        )
+    basis = nullspace_basis(a, KERNEL_TOL)
     q = basis @ basis.T
     return ProjectorPair(Q=q, P=np.eye(n) - q)
 
 
-def inductance_value(
-    sf: StrandedForm,
-    stiffness,
-    tol: float = KERNEL_TOL,
-    size_guard: int = DENSE_SIZE_GUARD,
-) -> float:
+def inductance_value(sf: StrandedForm, stiffness) -> float:
     """Terminal inductance of the stranded-form element.
 
     ``L = (Q x_bar)^T (Q K Q + P P)^-1 (Q x_bar)`` with ``Q`` the orthogonal
     projector onto the kernel of the Schur mass.  Must be positive; a
     nonpositive value signals a violated assumption and raises.
     """
-    pair = build_projectors(sf.M_bar, tol=tol, size_guard=size_guard)
+    pair = build_projectors(sf.M_bar)
     k = stiffness.toarray() if sp.issparse(stiffness) else np.asarray(stiffness, dtype=float)
     core = pair.Q @ k @ pair.Q + pair.P @ pair.P
     qx = pair.Q @ sf.x_bar
@@ -125,16 +124,12 @@ class PerturbationMeasure:
 
 
 def singular_perturbation_measure(
-    g: np.ndarray,
-    g_e: np.ndarray,
-    c: np.ndarray,
-    tol: float = KERNEL_TOL,
-    indefinite_rtol: float = 1e-8,
+    g: np.ndarray, g_e: np.ndarray, c: np.ndarray
 ) -> PerturbationMeasure:
     """Measure the singularly-perturbed-resistance strength of a conductance pair.
 
     Raises :class:`IndefiniteDifferenceError` when ``G - Ge`` has an
-    eigenvalue below ``-indefinite_rtol * ||G||``; the difference is a Gram
+    eigenvalue below ``-INDEFINITE_RTOL * ||G||``; the difference is a Gram
     matrix of projection residuals, so indefiniteness signals an assembly bug.
     """
     diff = 0.5 * ((g - g_e) + (g - g_e).T)
@@ -142,13 +137,13 @@ def singular_perturbation_measure(
     w, v = np.linalg.eigh(diff)
     min_eig = float(w.min()) if w.size else 0.0
     frob = float(np.linalg.norm(diff))
-    if min_eig < -indefinite_rtol * g_norm:
+    if min_eig < -INDEFINITE_RTOL * g_norm:
         raise IndefiniteDifferenceError(
-            f"min eigenvalue {min_eig:.3e} below -{indefinite_rtol:.1e} * ||G||"
+            f"min eigenvalue {min_eig:.3e} below -{INDEFINITE_RTOL:.1e} * ||G||"
         )
-    if frob <= tol * g_norm:
+    if frob <= KERNEL_TOL * g_norm:
         return PerturbationMeasure(g_R=None, degenerate=True, frob_diff=frob, min_eig=min_eig)
-    keep = w > tol * w.max()
+    keep = w > KERNEL_TOL * w.max()
     coords = v[:, keep].T @ c
     c_norm = float(np.linalg.norm(c))
     if np.linalg.norm(coords) <= 1e-8 * c_norm:
@@ -187,61 +182,34 @@ class Classification:
         return "\n".join(lines)
 
 
-def classify_element(
-    sys: AssembledFoilSystem,
-    mode: str,
-    tol: float = KERNEL_TOL,
-    size_guard: int = DENSE_SIZE_GUARD,
-) -> Classification:
+def classify_element(sys: AssembledFoilSystem, mode: str) -> Classification:
     """Classify the element behavior for conductance variant ``mode``.
 
     The consistent variant is always inductance-like.  The original variant is
     resistance-like as long as the terminal direction sees a nonvanishing
     conductance difference; otherwise it degenerates to inductance-like (the
     single-function solid limit is the canonical case).  The terminal
-    inductance is attached whenever the system is small enough for the dense
-    projector machinery.
+    inductance is attached to every non-resistance-like element whenever the
+    system is small enough for the dense projector machinery.
     """
-    measure = singular_perturbation_measure(sys.G, sys.G_e, sys.c, tol=tol)
-
-    def maybe_l():
-        if sys.n_dofs > size_guard:
-            return None
-        return inductance_value(schur_stranded_form(sys), sys.K, tol=tol, size_guard=size_guard)
-
-    if mode == "Ge":
-        return Classification(
-            kind=ElementKind.INDUCTANCE_LIKE,
-            L=maybe_l(),
-            g_R=None,
-            frob_diff=measure.frob_diff,
-            min_eig_diff=measure.min_eig,
-            degenerate_difference=measure.degenerate,
-        )
-    if mode == "G":
-        if measure.degenerate:
-            return Classification(
-                kind=ElementKind.INDUCTANCE_LIKE,
-                L=maybe_l(),
-                g_R=None,
-                frob_diff=measure.frob_diff,
-                min_eig_diff=measure.min_eig,
-                degenerate_difference=True,
-            )
-        return Classification(
-            kind=ElementKind.RESISTANCE_LIKE,
-            L=None,
-            g_R=measure.g_R,
-            frob_diff=measure.frob_diff,
-            min_eig_diff=measure.min_eig,
-        )
-    if mode == "SOLID":
-        return Classification(
-            kind=ElementKind.SOLID_DEGENERATE,
-            L=maybe_l(),
-            g_R=None,
-            frob_diff=measure.frob_diff,
-            min_eig_diff=measure.min_eig,
-            degenerate_difference=measure.degenerate,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("Ge", "G", "SOLID"):
+        raise ValueError(f"unknown mode {mode!r}")
+    measure = singular_perturbation_measure(sys.G, sys.G_e, sys.c)
+    resistance_like = mode == "G" and not measure.degenerate
+    if resistance_like:
+        kind = ElementKind.RESISTANCE_LIKE
+    elif mode == "SOLID":
+        kind = ElementKind.SOLID_DEGENERATE
+    else:
+        kind = ElementKind.INDUCTANCE_LIKE
+    inductance = None
+    if not resistance_like and sys.n_dofs <= DENSE_SIZE_GUARD:
+        inductance = inductance_value(schur_stranded_form(sys), sys.K)
+    return Classification(
+        kind=kind,
+        L=inductance,
+        g_R=measure.g_R if resistance_like else None,
+        frob_diff=measure.frob_diff,
+        min_eig_diff=measure.min_eig,
+        degenerate_difference=measure.degenerate,
+    )

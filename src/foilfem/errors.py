@@ -50,7 +50,17 @@ class ParseError(FoilFemError):
 
 
 class ValidationError(FoilFemError):
-    """Structurally valid input violating a semantic invariant."""
+    """Structurally valid input violating a semantic invariant.
+
+    ``key`` names the offending configuration key and ``line`` its line in the
+    config file, when known.
+    """
+
+    def __init__(self, message, key=None, line=None):
+        self.message = message
+        self.key = key
+        self.line = line
+        super().__init__(message + (f" (line {line})" if line is not None else ""))
 
 
 class UnclassifiedElementError(FoilFemError):

@@ -24,23 +24,27 @@ import numpy as np
 from .assembly import FieldDiscretization
 from .circuit import SourceWaveform, lumped_inductor_voltage_driven, mna_stamp, parse_netlist
 from .dae_analysis import classify_element, singular_perturbation_measure
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .linalg import rank
 from .mesh import GeometrySpec, Mesh, generate_parametric_mesh, refine_uniform
 from .timestepper import StepperConfig, TimeSeries, integrate
 from .winding import (
+    BASIS_FAMILIES,
     FoilWindingSpec,
     VoltageBasis,
     assemble_G_exact,
     assemble_foil_system,
     device_materials,
-    skin_depth_ok,
 )
 
 # target edge lengths per mesh level; levels beyond the table halve the last entry
 MESH_LEVEL_H = {0: 8.0e-3, 1: 4.0e-3, 2: 1.7e-3, 3: 0.85e-3}
 COARSE_LEVEL = 0
 FINE_LEVEL = 2
+DRIVES = ("v", "i")
+MODES = ("G", "Ge", "SOLID")
+NOISE_HARMONICS = 3
+NOISE_TAIL = 0.6
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,19 @@ class ExperimentConfig:
     mesh_level: int = COARSE_LEVEL
     dt: float = 1.0e-4
     duration: float = 22.0e-3
-    seed: int = 0
+
+    def __post_init__(self):
+        for key, allowed in (("drive", DRIVES), ("mode", MODES), ("basis_family", BASIS_FAMILIES)):
+            value = getattr(self, key)
+            if value not in allowed:
+                message = f"{key} must be one of {', '.join(allowed)}, got {value!r}"
+                raise ValidationError(message, key=key)
+        if self.n_basis < 1:
+            raise ValidationError(f"n_basis must be at least 1, got {self.n_basis!r}", key="n_basis")
+        for key in ("dt", "duration"):
+            value = getattr(self, key)
+            if not value > 0.0:  # also rejects NaN
+                raise ValidationError(f"{key} must be positive, got {value!r}", key=key)
 
     def to_text(self) -> str:
         lines = []
@@ -87,10 +103,14 @@ class ExperimentConfig:
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file on top of the defaults."""
+    """Read a flat ``key = value`` config file on top of the defaults.
+
+    A value that :class:`ExperimentConfig` rejects raises its
+    :class:`ValidationError`, located at the key's line.
+    """
     base = base or ExperimentConfig()
     field_types = {f.name: f.type for f in fields(ExperimentConfig)}
-    overrides = {}
+    overrides, key_lines = {}, {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -112,7 +132,11 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
                 overrides[key] = value
         except ValueError as exc:
             raise ParseError(f"bad value {value!r} for {key}", line=line_no) from exc
-    return replace(base, **overrides)
+        key_lines[key] = line_no
+    try:
+        return replace(base, **overrides)
+    except ValidationError as exc:
+        raise ValidationError(exc.message, key=exc.key, line=key_lines.get(exc.key)) from None
 
 
 def build_geometry(cfg: ExperimentConfig) -> GeometrySpec:
@@ -194,12 +218,12 @@ class NoiseMetric:
     ratio: float
 
 
-def noise_metric(times, values, frequency, n_harmonics: int = 3, tail: float = 0.6) -> NoiseMetric:
-    n0 = int(round(len(times) * (1.0 - tail)))
+def noise_metric(times, values, frequency) -> NoiseMetric:
+    n0 = int(round(len(times) * (1.0 - NOISE_TAIL)))
     t = np.asarray(times)[n0:]
     y = np.asarray(values)[n0:]
     columns = [np.ones_like(t)]
-    for k in range(1, n_harmonics + 2):
+    for k in range(1, NOISE_HARMONICS + 2):
         w = 2.0 * math.pi * k * frequency
         columns.append(np.sin(w * t))
         columns.append(np.cos(w * t))
@@ -219,10 +243,8 @@ def run_fig4(cfg: ExperimentConfig, out_dir=None) -> dict:
     voltage noise grows when the step size shrinks; the voltage-driven
     current noise does not.
     """
-    cfg = replace(cfg, mode="Ge")
-    mesh = build_mesh(cfg, FINE_LEVEL)
-    system, spec, _ = build_system(cfg, mesh)
-    results = {"series": {}, "metrics": {}, "skin_depth": skin_depth_ok(spec, cfg.frequency)}
+    system = build_system(cfg, build_mesh(cfg, FINE_LEVEL))[0]
+    results = {"series": {}, "metrics": {}}
     for drive in ("i", "v"):
         for dt in (1.0e-4, 1.0e-5):
             series = run_transient(cfg, system, drive, "Ge", dt)
@@ -239,26 +261,16 @@ def run_fig4(cfg: ExperimentConfig, out_dir=None) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         for key, series in results["series"].items():
             emit_csv(out / f"fig4_{key}.csv", series, "FW1")
-        emit_svg_plot(
-            out / "fig4_current_driven.svg",
-            [
-                (f"dt={dt:.0e} s", results["series"][f"ifed_dt{dt:.0e}"].times,
-                 results["series"][f"ifed_dt{dt:.0e}"].voltages["FW1"])
-                for dt in (1.0e-5, 1.0e-4)
-            ],
-            xlabel="t [s]",
-            ylabel="v [V]",
-        )
-        emit_svg_plot(
-            out / "fig4_voltage_driven.svg",
-            [
-                (f"dt={dt:.0e} s", results["series"][f"vfed_dt{dt:.0e}"].times,
-                 results["series"][f"vfed_dt{dt:.0e}"].currents["FW1"])
-                for dt in (1.0e-5, 1.0e-4)
-            ],
-            xlabel="t [s]",
-            ylabel="i [A]",
-        )
+        for name, drive, probe, ylabel in (
+            ("current_driven", "i", "voltages", "v [V]"),
+            ("voltage_driven", "v", "currents", "i [A]"),
+        ):
+            runs = [(dt, results["series"][f"{drive}fed_dt{dt:.0e}"]) for dt in (1.0e-5, 1.0e-4)]
+            curves = [
+                (f"dt={dt:.0e} s", s.times, getattr(s, probe)["FW1"], s.diverged_at)
+                for dt, s in runs
+            ]
+            emit_svg_plot(out / f"fig4_{name}.svg", curves, xlabel="t [s]", ylabel=ylabel)
         (out / "fig4_metrics.txt").write_text(format_fig4_metrics(results), encoding="ascii")
     return results
 
@@ -289,7 +301,6 @@ def run_fig5(cfg: ExperimentConfig, out_dir=None) -> dict:
     the two voltage traces (``inf`` if either run diverged) and any divergence
     markers.
     """
-    cfg = replace(cfg, drive="i", dt=1.0e-4)
     results = {"series": {}, "discrepancy": {}, "diverged": {}}
     for mesh_name, level in (("coarse", COARSE_LEVEL), ("fine", FINE_LEVEL)):
         mesh = build_mesh(cfg, level)
@@ -297,7 +308,7 @@ def run_fig5(cfg: ExperimentConfig, out_dir=None) -> dict:
         system = replace(system, G=assemble_G_exact(spec, basis))
         pair = {}
         for mode in ("G", "Ge"):
-            series = run_transient(cfg, system, "i", mode, cfg.dt)
+            series = run_transient(cfg, system, "i", mode, 1.0e-4)
             results["series"][f"{mesh_name}_{mode}"] = series
             results["diverged"][f"{mesh_name}_{mode}"] = series.diverged_at
             pair[mode] = series
@@ -321,8 +332,8 @@ def run_fig5(cfg: ExperimentConfig, out_dir=None) -> dict:
             emit_svg_plot(
                 out / f"fig5_{mesh_name}.svg",
                 [
-                    ("original G", s_g.times, s_g.voltages["FW1"]),
-                    ("consistent Ge", s_ge.times, s_ge.voltages["FW1"]),
+                    ("original G", s_g.times, s_g.voltages["FW1"], s_g.diverged_at),
+                    ("consistent Ge", s_ge.times, s_ge.voltages["FW1"], s_ge.diverged_at),
                 ],
                 xlabel="t [s]",
                 ylabel="v [V]",
@@ -415,10 +426,18 @@ _SVG_COLORS = ("#1b6ca8", "#c23b22", "#2e8b57", "#8856a7")
 
 
 def emit_svg_plot(path, curves, xlabel: str, ylabel: str) -> None:
-    """Static deterministic SVG line plot: one polyline per labeled curve."""
+    """Static deterministic SVG line plot: one polyline per labeled curve.
+
+    ``curves`` holds ``(label, times, values, diverged_at)`` tuples, with
+    ``diverged_at`` as in :class:`TimeSeries`.  The y-range spans the finite
+    values of the curves that did not diverge (of all curves if each one did),
+    and a diverged curve is clipped to it, so a blow-up cannot flatten the
+    bounded curves.
+    """
     width, height, margin = 800, 500, 70
     xs = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
-    ys = np.concatenate([np.asarray(c[2], dtype=float) for c in curves])
+    ranged = [c for c in curves if c[3] is None] or curves
+    ys = np.concatenate([np.asarray(c[2], dtype=float) for c in ranged])
     finite = np.isfinite(ys)
     x_min, x_max = float(xs.min()), float(xs.max())
     y_min = float(ys[finite].min()) if finite.any() else -1.0
@@ -464,11 +483,13 @@ def emit_svg_plot(path, curves, xlabel: str, ylabel: str) -> None:
         f'<text x="20" y="{height / 2:.0f}" font-size="14" text-anchor="middle" '
         f'transform="rotate(-90 20 {height / 2:.0f})">{ylabel}</text>'
     )
-    for idx, (label, t, y) in enumerate(curves):
+    for idx, (label, t, y, diverged_at) in enumerate(curves):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
         keep = np.isfinite(y)
+        if diverged_at is not None:
+            y = np.clip(y, y_min, y_max)
         points = " ".join(f"{sx(tv):.3f},{sy(yv):.3f}" for tv, yv in zip(t[keep], y[keep]))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         ly = margin + 18 * idx

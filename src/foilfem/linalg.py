@@ -24,8 +24,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import InconsistentRhsError, SingularMatrixError
 
-DEFAULT_PIVOT_RTOL = 1e-14
-DEFAULT_RHS_RTOL = 1e-12
+PIVOT_RTOL = 1e-14  # smallest LU pivot allowed, relative to max|A|
+SYM_RTOL = 1e-10  # largest asymmetry of a restricted SPD matrix, relative to max|M|
+RHS_RTOL = 1e-12  # largest rhs norm outside the support, relative to ||b||
 
 
 def canonical_csr(a) -> sp.csr_matrix:
@@ -70,10 +71,9 @@ def max_abs(a) -> float:
 class Factorization:
     """Reusable sparse LU factorization of a square matrix."""
 
-    def __init__(self, lu, n: int, matrix_scale: float):
+    def __init__(self, lu, n: int):
         self._lu = lu
         self.n = n
-        self.matrix_scale = matrix_scale
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -82,11 +82,11 @@ class Factorization:
         return self._lu.solve(b)
 
 
-def sparse_factorize(a, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization:
+def sparse_factorize(a) -> Factorization:
     """LU-factorize a square sparse matrix with partial pivoting.
 
     Raises :class:`SingularMatrixError` when a pivot falls below
-    ``pivot_rtol * max|a|``, which signals a rank-deficient system.
+    ``PIVOT_RTOL * max|a|``, which signals a rank-deficient system.
     """
     m = canonical_csr(a)
     n_rows, n_cols = m.shape
@@ -100,11 +100,11 @@ def sparse_factorize(a, pivot_rtol: float = DEFAULT_PIVOT_RTOL) -> Factorization
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularMatrixError(str(exc)) from exc
     pivots = np.abs(lu.U.diagonal())
-    if pivots.size and pivots.min() < pivot_rtol * scale:
+    if pivots.size and pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below {pivot_rtol:.1e} * max|A| = {pivot_rtol * scale:.3e}"
+            f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.1e} * max|A| = {PIVOT_RTOL * scale:.3e}"
         )
-    return Factorization(lu, n_rows, scale)
+    return Factorization(lu, n_rows)
 
 
 class RestrictedSpdSolver:
@@ -115,14 +115,14 @@ class RestrictedSpdSolver:
     ``pinv(M) @ b`` without ever forming the pseudo-inverse.
     """
 
-    def __init__(self, m, support, sym_rtol: float = 1e-10):
+    def __init__(self, m, support):
         m = canonical_csr(m)
         n = m.shape[0]
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
         scale = max_abs(m)
         asym = max_abs(m - m.T)
-        if scale > 0.0 and asym > sym_rtol * scale:
+        if scale > 0.0 and asym > SYM_RTOL * scale:
             raise ValueError("matrix is not symmetric")
         support = np.unique(np.asarray(support, dtype=np.intp))
         if support.size == 0:
@@ -152,24 +152,24 @@ class RestrictedSpdSolver:
         self._lu = lu
         self._block = block
 
-    def solve(self, b, rhs_rtol: float = DEFAULT_RHS_RTOL) -> np.ndarray:
+    def solve(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError("rhs length mismatch")
         b_norm = float(np.linalg.norm(b))
         outside = float(np.linalg.norm(b[~self._mask]))
-        if outside > rhs_rtol * b_norm:
+        if outside > RHS_RTOL * b_norm:
             raise InconsistentRhsError(
-                f"rhs norm outside support {outside:.3e} exceeds {rhs_rtol:.1e} * ||b||"
+                f"rhs norm outside support {outside:.3e} exceeds {RHS_RTOL:.1e} * ||b||"
             )
         y = np.zeros(self.n)
         y[self.support] = self._lu.solve(b[self.support])
         return y
 
 
-def restricted_spd_solve(m, b, support, rhs_rtol: float = DEFAULT_RHS_RTOL) -> np.ndarray:
+def restricted_spd_solve(m, b, support) -> np.ndarray:
     """One-shot :class:`RestrictedSpdSolver` solve (factor once, use once)."""
-    return RestrictedSpdSolver(m, support).solve(b, rhs_rtol=rhs_rtol)
+    return RestrictedSpdSolver(m, support).solve(b)
 
 
 def nullspace_basis(a, tol: float) -> np.ndarray:

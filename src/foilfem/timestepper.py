@@ -1,8 +1,8 @@
 """Implicit Euler integration of the stamped field-circuit DAE.
 
 Constant step size, one factorization of ``E/dt + A`` per run, deterministic
-output.  Divergence (state norm beyond a configurable bound, or non-finite
-values) is a reportable outcome, not an error: the integrator marks the step
+output.  Divergence (state norm beyond ``BLOWUP_BOUND``, or non-finite values)
+is a reportable outcome, not an error: the integrator marks the step
 and returns the partial series so unstable configurations can be plotted.
 """
 
@@ -21,6 +21,7 @@ from .errors import (
 from .linalg import sparse_factorize
 
 MAX_STEPS = 10_000_000
+BLOWUP_BOUND = 1e12  # a state entry beyond this magnitude marks divergence
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,6 @@ class StepperConfig:
     t0: float
     t_end: float
     dt: float
-    blowup_bound: float = 1e12
     snapshot_stride: int = 0  # 0 disables full-state snapshots
     initial_state: np.ndarray | None = None  # zero start when omitted
 
@@ -136,7 +136,7 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
         rhs = e_over_dt @ y + dae.source(times[k])
         y_next = lhs.solve(rhs)
         record(k, y_next, y)
-        if not np.all(np.isfinite(y_next)) or float(np.max(np.abs(y_next))) > cfg.blowup_bound:
+        if not np.all(np.isfinite(y_next)) or float(np.max(np.abs(y_next))) > BLOWUP_BOUND:
             diverged_at = k
             last = k
             break

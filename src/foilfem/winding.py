@@ -51,13 +51,15 @@ from .assembly import (
     conduction_quadrature,
 )
 from .errors import EmptyWindingError, ValidationError
-from .linalg import RestrictedSpdSolver, canonical_csr
+from .linalg import RestrictedSpdSolver, canonical_csr, max_abs
 from .mesh import Mesh, RegionTag
 
 MU0 = 4.0e-7 * math.pi
 TWO_PI = 2.0 * math.pi
 # Gauss-Legendre points per polynomial piece of the exact conductance integrand.
 _EXACT_G_GAUSS_POINTS = 32
+BASIS_FAMILIES = ("legendre", "hat")
+SKIN_DEPTH_MARGIN = 5.0
 
 
 @dataclass(frozen=True)
@@ -140,14 +142,11 @@ def skin_depth(frequency: float, mu: float, sigma: float) -> float:
     return math.sqrt(2.0 / (omega * mu * sigma))
 
 
-def skin_depth_ok(spec: FoilWindingSpec, frequency: float, mu: float = MU0, margin: float = 5.0):
-    """Return (delta, ok): the homogenization needs conductor width << delta.
-
-    The warning threshold ``conductor_width > delta / margin`` defaults to
-    ``margin = 5``; adjust to taste.
-    """
-    delta = skin_depth(frequency, mu, spec.sigma_c)
-    return delta, spec.conductor_width <= delta / margin
+def skin_depth_ok(spec: FoilWindingSpec, frequency: float):
+    """Return (delta, ok): the homogenization needs conductor width << delta,
+    taken as ``conductor_width <= delta / SKIN_DEPTH_MARGIN`` in vacuum permeability."""
+    delta = skin_depth(frequency, MU0, spec.sigma_c)
+    return delta, spec.conductor_width <= delta / SKIN_DEPTH_MARGIN
 
 
 def device_materials(spec: FoilWindingSpec, yoke_sigma: float = 10.0, yoke_mu_r: float = 1000.0) -> MaterialSpec:
@@ -181,7 +180,7 @@ class VoltageBasis:
     def __post_init__(self):
         if self.n_functions < 1:
             raise ValidationError("need at least one basis function")
-        if self.family not in ("legendre", "hat"):
+        if self.family not in BASIS_FAMILIES:
             raise ValidationError(f"unknown basis family {self.family!r}")
 
     def eval(self, l: int, alpha):
@@ -352,30 +351,12 @@ def assemble_G_exact(spec: FoilWindingSpec, basis: VoltageBasis) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def assemble_G_consistent(
-    mesh: Mesh,
-    materials: MaterialSpec,
-    disc: FieldDiscretization,
-    spec: FoilWindingSpec,
-    basis: VoltageBasis,
-    x: np.ndarray | None = None,
-    X: np.ndarray | None = None,
-    M: sp.csr_matrix | None = None,
-    support: np.ndarray | None = None,
-):
+def assemble_G_consistent(M: sp.csr_matrix, X: np.ndarray, support: np.ndarray):
     """FE-space-consistent conductance via the mass pseudo-inverse.
 
     Solves ``M e_l = X[:, l]`` on the conductive support for every column and
     returns ``(G_e, E)`` with ``G_e = X^T E`` symmetrized by averaging.
     """
-    if x is None:
-        x = distribution_coefficients(mesh, disc)
-    if X is None:
-        X = assemble_X(mesh, materials, disc, spec, basis, x)
-    if M is None:
-        M = assemble_mass(mesh, materials, disc)
-    if support is None:
-        support = conductive_support(mesh, materials, disc)
     solver = RestrictedSpdSolver(M, support)
     e_cols = [solver.solve(X[:, l]) for l in range(X.shape[1])]
     E = np.column_stack(e_cols)
@@ -429,9 +410,7 @@ def assemble_foil_system(
     c = assemble_c(spec.n_turns, basis)
     g = assemble_G_original(mesh, materials, disc, spec, basis, x)
     support = conductive_support(mesh, materials, disc)
-    ge, e = assemble_G_consistent(
-        mesh, materials, disc, spec, basis, x=x, X=big_x, M=m, support=support
-    )
+    ge, e = assemble_G_consistent(m, big_x, support)
     return AssembledFoilSystem(K=k, M=m, X=big_x, G=g, G_e=ge, c=c, x=x, E=e, support=support)
 
 
@@ -450,14 +429,10 @@ class SolidSystem:
 
 
 def build_solid_system(
-    mesh: Mesh,
-    materials: MaterialSpec,
-    disc: FieldDiscretization,
-    conductor_tag: RegionTag = RegionTag.FOIL_WINDING,
+    mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization
 ) -> SolidSystem:
-    """Solid-conductor reduction: ``x_sol = M x`` and scalar ``G_sol = x^T M x``."""
-    if conductor_tag != RegionTag.FOIL_WINDING:
-        raise ValidationError("only the winding region is supported as solid conductor")
+    """Solid-conductor reduction of the winding region: ``x_sol = M x`` and
+    scalar ``G_sol = x^T M x``."""
     k = assemble_stiffness(mesh, materials, disc)
     m = assemble_mass(mesh, materials, disc)
     x = distribution_coefficients(mesh, disc)
@@ -497,18 +472,53 @@ def save_system(path, sys: AssembledFoilSystem) -> None:
 
 
 def load_system(path) -> AssembledFoilSystem:
-    """Load a foil system saved by :func:`save_system`."""
+    """Load a foil system saved by :func:`save_system`.
+
+    Raises :class:`ValidationError`, naming the file and the array, when an
+    array is missing or the blocks do not fit together: K and M square and of
+    one size, X with a row per DoF and a column per entry of ``c``, G and G_e
+    ``(n_basis, n_basis)``, finite and symmetric.
+    """
+
+    def invalid(message):
+        return ValidationError(f"{path}: {message}")
+
     with np.load(path) as data:
-        k = canonical_csr(
-            sp.csr_matrix((data["K_data"], data["K_indices"], data["K_indptr"]),
-                          shape=tuple(data["K_shape"]))
-        )
-        m = canonical_csr(
-            sp.csr_matrix((data["M_data"], data["M_indices"], data["M_indptr"]),
-                          shape=tuple(data["M_shape"]))
-        )
-        return AssembledFoilSystem(
-            K=k, M=m, X=data["X"], G=data["G"], G_e=data["G_e"], c=data["c"], x=data["x"],
-            E=data["E"] if "E" in data else None,
-            support=data["support"] if "support" in data else None,
-        )
+
+        def array(name):
+            if name not in data:
+                raise invalid(f"missing array {name!r}")
+            return data[name]
+
+        def csr(name):
+            parts = [array(f"{name}_{part}") for part in ("data", "indices", "indptr", "shape")]
+            try:
+                return canonical_csr(sp.csr_matrix(tuple(parts[:3]), shape=tuple(parts[3])))
+            except ValueError as exc:
+                raise invalid(f"malformed sparse matrix {name}: {exc}") from exc
+
+        k, m = csr("K"), csr("M")
+        big_x, g, g_e, c, x = (array(name) for name in ("X", "G", "G_e", "c", "x"))
+        e = data["E"] if "E" in data else None
+        support = data["support"] if "support" in data else None
+    for name, a in (("K", k), ("M", m)):
+        if a.shape[0] != a.shape[1]:
+            raise invalid(f"{name} is {a.shape[0]} x {a.shape[1]}, not square")
+    n = k.shape[0]
+    if m.shape != k.shape:
+        raise invalid(f"M is {m.shape[0]} x {m.shape[0]} but K is {n} x {n}")
+    if c.ndim != 1:
+        raise invalid(f"c has shape {c.shape}, not a vector")
+    n_basis = c.shape[0]
+    if big_x.ndim != 2 or big_x.shape[0] != n:
+        raise invalid(f"X has shape {big_x.shape}, not {n} rows (the DoFs of K)")
+    if big_x.shape[1] != n_basis:
+        raise invalid(f"X has {big_x.shape[1]} columns but len(c) = {n_basis}")
+    for name, a in (("G", g), ("G_e", g_e)):
+        if a.shape != (n_basis, n_basis):
+            raise invalid(f"{name} has shape {a.shape}, not ({n_basis}, {n_basis})")
+        if not np.all(np.isfinite(a)):
+            raise invalid(f"{name} has non-finite entries")
+        if max_abs(a - a.T) > 1e-12 * max_abs(a):
+            raise invalid(f"{name} is not symmetric to 1e-12 relative")
+    return AssembledFoilSystem(K=k, M=m, X=big_x, G=g, G_e=g_e, c=c, x=x, E=e, support=support)

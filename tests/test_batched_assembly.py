@@ -116,9 +116,7 @@ class TestAssembly:
         loop_support = loop_conductive_support(mesh, materials, disc)
         assert_identical(system.X, loop_x)
         assert_identical(system.support, loop_support)
-        loop_ge, loop_e = assemble_G_consistent(
-            mesh, materials, disc, spec, basis, X=loop_x, M=loop_m, support=loop_support
-        )
+        loop_ge, loop_e = assemble_G_consistent(loop_m, loop_x, loop_support)
         assert_identical(system.G_e, loop_ge)
         assert_identical(system.E, loop_e)
 

@@ -1,8 +1,10 @@
 """CLI subcommand smoke tests (fast paths; studies run in the acceptance suite)."""
 
 import numpy as np
+import pytest
 
-from foilfem.cli import main
+from foilfem.cli import build_parser, main
+from foilfem.errors import ValidationError
 from foilfem.experiments import read_csv_series
 from foilfem.mesh import read_mesh
 from foilfem.winding import load_system
@@ -13,6 +15,57 @@ def run_cli(capsys, *argv):
     out = capsys.readouterr().out
     assert code == 0
     return out
+
+
+# a valid value for every behaviour flag the command line has ever taken
+FLAG_VALUES = {
+    "--format": "csv",
+    "--seed": "5",
+    "--mesh-level": "0",
+    "--mode": "Ge",
+    "--drive": "i",
+    "--dt": "1e-4",
+    "--duration": "1e-3",
+    "--basis": "hat",
+}
+# the behaviour flags each subcommand reads; the argv prefix that selects it
+ACCEPTED = {
+    ("mesh", "gen"): {"--mesh-level"},
+    ("assemble",): {"--mesh-level", "--basis"},
+    ("classify",): {"--mesh-level", "--basis"},
+    ("simulate",): {"--format", "--mesh-level", "--mode", "--drive", "--dt", "--duration", "--basis"},
+    ("fig4",): {"--duration", "--basis"},
+    ("fig5",): {"--duration", "--basis"},
+    ("demo-inductor",): {"--dt", "--duration"},
+}
+TABLE = [(command, flag, flag in accepted) for command, accepted in ACCEPTED.items()
+         for flag in FLAG_VALUES]
+
+
+class TestFlagScope:
+    @pytest.mark.parametrize("command, flag, accepted", TABLE,
+                             ids=[f"{c[0]}{f}" for c, f, _ in TABLE])
+    def test_behaviour_flag_scope(self, command, flag, accepted, capsys):
+        argv = [*command, flag, FLAG_VALUES[flag]]
+        if accepted:
+            build_parser().parse_args(argv)
+            return
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(ACCEPTED), ids=[c[0] for c in ACCEPTED])
+    def test_config_and_out_on_every_subcommand(self, command, tmp_path):
+        args = build_parser().parse_args(
+            [*command, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)]
+        )
+        assert args.config == str(tmp_path / "run.cfg") and args.out == str(tmp_path)
+
+    def test_fig5_defaults_to_the_hat_basis(self):
+        assert build_parser().parse_args(["fig5"]).basis_family == "hat"
+        assert build_parser().parse_args(["fig5", "--basis", "legendre"]).basis_family == "legendre"
+        assert build_parser().parse_args(["fig4"]).basis_family is None
 
 
 class TestMeshCommands:
@@ -65,6 +118,13 @@ class TestSimulateCommand:
         run_cli(capsys, "simulate", "--config", str(cfg_path), "--out", str(tmp_path))
         t, _, _ = read_csv_series(tmp_path / "simulate_ifed_Ge_level0.csv")
         assert t.size == 11
+
+    def test_config_value_outside_its_set_is_rejected_with_its_line(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("duration = 1e-3\ndrive = I\n")
+        with pytest.raises(ValidationError, match=r"drive must be one of v, i, got 'I' \(line 2\)"):
+            main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestReportCommands:

@@ -1,11 +1,12 @@
 """Experiment configuration, metrics and output-emission tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from foilfem.errors import ParseError
+from foilfem.errors import ParseError, ValidationError
 from foilfem.experiments import (
     ExperimentConfig,
     build_geometry,
@@ -24,7 +25,9 @@ from foilfem.experiments import (
 )
 from foilfem.timestepper import TimeSeries
 
-DEFAULT_HASH = "81067f9045d76b5f009b2c14660b5f6d3b17db21cadbf4d73cbd78f8fd9c1070"
+# the y-axis tick labels of an emitted SVG
+Y_TICK = re.compile(r'text-anchor="end">([^<]+)<')
+DEFAULT_HASH = "a3a25a386e99ff33afdd49543de69962b554d6c3430d65ce3b4f71609234e281"
 
 
 class TestConfig:
@@ -56,6 +59,21 @@ class TestConfig:
         assert cfg.mode == "G"
         assert cfg.mesh_level == 2
         assert cfg.n_turns == 50  # untouched default
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("drive", "I"), ("mode", "ge"), ("basis_family", "chebyshev"), ("n_basis", 0),
+         ("dt", 0.0), ("dt", -1e-4), ("duration", 0.0), ("duration", float("nan"))],
+    )
+    def test_invalid_value_rejected_naming_the_key(self, tmp_path, key, value):
+        with pytest.raises(ValidationError, match=f"^{key} must") as err:
+            ExperimentConfig(**{key: value})
+        assert err.value.key == key and err.value.line is None
+        path = tmp_path / "run.cfg"
+        path.write_text(f"mesh_level = 0\n# comment\n{key} = {value}\n")
+        with pytest.raises(ValidationError, match=f"^{key} must.*\\(line 3\\)$") as err:
+            load_config(path)
+        assert err.value.line == 3
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -135,7 +153,7 @@ class TestCsv:
 class TestSvg:
     def test_deterministic_and_labeled(self, tmp_path):
         t = np.linspace(0.0, 1.0, 50)
-        curves = [("a", t, np.sin(t)), ("b", t, np.cos(t))]
+        curves = [("a", t, np.sin(t), None), ("b", t, np.cos(t), None)]
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
         emit_svg_plot(p1, curves, xlabel="t [s]", ylabel="v [V]")
         emit_svg_plot(p2, curves, xlabel="t [s]", ylabel="v [V]")
@@ -147,8 +165,22 @@ class TestSvg:
     def test_handles_nonfinite_values(self, tmp_path):
         t = np.linspace(0.0, 1.0, 10)
         y = np.where(t > 0.5, np.inf, 1.0)
-        emit_svg_plot(tmp_path / "n.svg", [("d", t, y)], xlabel="x", ylabel="y")
+        emit_svg_plot(tmp_path / "n.svg", [("d", t, y, None)], xlabel="x", ylabel="y")
         assert "inf" not in (tmp_path / "n.svg").read_text().split("polyline")[1]
+
+    def test_diverged_curve_neither_sets_the_range_nor_leaves_the_plot(self, tmp_path):
+        t = np.linspace(0.0, 1.0, 20)
+        blow_up = np.where(t > 0.5, -1e12, 0.5)
+        curves = [("bounded", t, np.sin(t), None), ("diverged", t, blow_up, 11)]
+        emit_svg_plot(tmp_path / "d.svg", curves, xlabel="x", ylabel="y")
+        text = (tmp_path / "d.svg").read_text()
+        pad = 0.05 * np.sin(1.0)
+        assert [float(v) for v in Y_TICK.findall(text)] == pytest.approx(
+            np.linspace(-pad, np.sin(1.0) + pad, 5), rel=1e-3, abs=1e-6
+        )
+        for points in re.findall(r'<polyline points="([^"]*)"', text):
+            ys = [float(p.split(",")[1]) for p in points.split()]
+            assert 70.0 <= min(ys) and max(ys) <= 430.0  # inside the 500 px plot's 70 px margins
 
 
 class TestRunners:
@@ -160,6 +192,18 @@ class TestRunners:
         s2 = run_transient(cfg, system, "v", "Ge", cfg.dt)
         assert np.array_equal(s1.currents["FW1"], s2.currents["FW1"])
         assert s1.diverged_at is None
+
+    def test_fig5_coarse_svg_axis_spans_the_bounded_trace(self, tmp_path):
+        results = run_fig5(ExperimentConfig(basis_family="hat"), out_dir=tmp_path)
+        assert results["diverged"]["coarse_G"] is not None
+        v_ge = results["series"]["coarse_Ge"].voltages["FW1"]
+        pad = 0.05 * (v_ge.max() - v_ge.min())
+        ticks = [float(v) for v in Y_TICK.findall((tmp_path / "fig5_coarse.svg").read_text())]
+        assert len(ticks) == 5
+        tol = 1e-3 * (v_ge.max() - v_ge.min())  # the labels carry four significant digits
+        assert all(v_ge.min() - pad - tol <= v <= v_ge.max() + pad + tol for v in ticks)
+        assert ticks[0] == pytest.approx(v_ge.min() - pad, abs=tol)
+        assert ticks[-1] == pytest.approx(v_ge.max() + pad, abs=tol)
 
     def test_fig5_diverging_original_variant_is_reproducible(self, tmp_path):
         cfg = ExperimentConfig(basis_family="hat")

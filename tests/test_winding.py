@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from foilfem.assembly import QUADRATURE_RULES, FieldDiscretization, MaterialSpec
+from foilfem.errors import ValidationError
 from foilfem.linalg import max_abs, rank
 from foilfem.mesh import GeometrySpec, RegionTag, generate_parametric_mesh, rectangle_mesh, refine_uniform
 from foilfem.winding import (
@@ -19,6 +20,7 @@ from foilfem.winding import (
     assemble_c,
     assemble_foil_system,
     build_solid_system,
+    conductive_support,
     device_materials,
     distribution_coefficients,
     distribution_line_integrals,
@@ -248,10 +250,11 @@ class TestCouplingBlocks:
         basis = VoltageBasis(3)
         x = distribution_coefficients(mesh, disc)
         big_x = assemble_X(mesh, mats, disc, TOY_SPEC, basis, x)
-        ge, _ = assemble_G_consistent(mesh, mats, disc, TOY_SPEC, basis, x=x, X=big_x)
         from foilfem.assembly import assemble_mass
 
-        m = assemble_mass(mesh, mats, disc).toarray()
+        m_csr = assemble_mass(mesh, mats, disc)
+        ge, _ = assemble_G_consistent(m_csr, big_x, conductive_support(mesh, mats, disc))
+        m = m_csr.toarray()
         w, v = np.linalg.eigh(m)
         inv = np.where(w > 1e-12 * w.max(), 1.0 / np.where(w == 0, 1.0, w), 0.0)
         oracle = big_x.T @ (v @ (inv[:, None] * (v.T @ big_x)))
@@ -387,6 +390,38 @@ class TestSystemRoundtrip:
         assert np.array_equal(again.G, coarse_system.G)
         assert np.array_equal(again.G_e, coarse_system.G_e)
         assert np.array_equal(again.c, coarse_system.c)
+
+    @pytest.mark.parametrize(
+        "array, edit, message",
+        [
+            ("G_e", lambda d: d.pop("G_e"), "missing array 'G_e'"),
+            ("K", lambda d: d.update(K_shape=d["K_shape"] + [0, 1]), "K is 84 x 85, not square"),
+            ("M", lambda d: d.update(
+                M_data=np.ones(3), M_indices=np.arange(3), M_indptr=np.arange(4),
+                M_shape=np.array([3, 3]),
+            ), "M is 3 x 3 but K is 84 x 84"),
+            ("X", lambda d: d.update(X=d["X"][:-1]), "X has shape (83, 5), not 84 rows"),
+            ("c", lambda d: d.update(c=d["c"][:3]), "X has 5 columns but len(c) = 3"),
+            ("G", lambda d: d.update(G=d["G"][:4, :4]), "G has shape (4, 4), not (5, 5)"),
+            ("G", lambda d: d["G"].__setitem__((0, 0), np.nan), "G has non-finite entries"),
+            ("G_e", lambda d: d["G_e"].__setitem__((0, 1), 1.001 * d["G_e"][0, 1]),
+             "G_e is not symmetric"),
+        ],
+        ids=["missing", "K-not-square", "M-size", "X-rows", "X-columns", "G-shape", "G-nan",
+             "Ge-asymmetric"],
+    )
+    def test_malformed_archive_is_named(self, tmp_path, coarse_system, array, edit, message):
+        good = tmp_path / "good.npz"
+        save_system(good, coarse_system)
+        with np.load(good) as data:
+            payload = {name: data[name].copy() for name in data.files}
+        edit(payload)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **payload)
+        with pytest.raises(ValidationError) as err:
+            load_system(bad)
+        assert str(bad) in str(err.value)
+        assert array in str(err.value) and message in str(err.value)
 
     def test_per_turn_voltage_probe(self):
         basis = VoltageBasis(3)
