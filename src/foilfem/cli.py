@@ -25,7 +25,6 @@ from pathlib import Path
 from . import __version__
 from .experiments import (
     DRIVES,
-    MODES,
     ExperimentConfig,
     build_mesh,
     build_system,
@@ -42,7 +41,7 @@ from .experiments import (
 )
 from .linalg import write_matrix_market
 from .mesh import RegionTag, read_mesh, refine_uniform, write_mesh
-from .winding import BASIS_FAMILIES, save_system
+from .winding import BASIS_FAMILIES, MODES, save_system
 
 # behaviour flags; the dest of each one but --format is an ExperimentConfig key
 BEHAVIOUR_FLAGS = {

@@ -27,7 +27,7 @@ from .errors import (
     SizeGuardError,
 )
 from .linalg import canonical_csr, nullspace_basis
-from .winding import AssembledFoilSystem
+from .winding import MODES, AssembledFoilSystem
 
 DENSE_SIZE_GUARD = 500  # largest DoF count of the dense projector diagnostics
 KERNEL_TOL = 1e-10  # eigenvalues below KERNEL_TOL * max|lambda| span a kernel
@@ -192,7 +192,7 @@ def classify_element(sys: AssembledFoilSystem, mode: str) -> Classification:
     inductance is attached to every non-resistance-like element whenever the
     system is small enough for the dense projector machinery.
     """
-    if mode not in ("Ge", "G", "SOLID"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     measure = singular_perturbation_measure(sys.G, sys.G_e, sys.c)
     resistance_like = mode == "G" and not measure.degenerate

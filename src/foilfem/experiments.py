@@ -30,6 +30,7 @@ from .mesh import GeometrySpec, Mesh, generate_parametric_mesh, refine_uniform
 from .timestepper import StepperConfig, TimeSeries, integrate
 from .winding import (
     BASIS_FAMILIES,
+    MODES,
     FoilWindingSpec,
     VoltageBasis,
     assemble_G_exact,
@@ -42,7 +43,6 @@ MESH_LEVEL_H = {0: 8.0e-3, 1: 4.0e-3, 2: 1.7e-3, 3: 0.85e-3}
 COARSE_LEVEL = 0
 FINE_LEVEL = 2
 DRIVES = ("v", "i")
-MODES = ("G", "Ge", "SOLID")
 NOISE_HARMONICS = 3
 NOISE_TAIL = 0.6
 

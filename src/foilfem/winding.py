@@ -59,6 +59,7 @@ TWO_PI = 2.0 * math.pi
 # Gauss-Legendre points per polynomial piece of the exact conductance integrand.
 _EXACT_G_GAUSS_POINTS = 32
 BASIS_FAMILIES = ("legendre", "hat")
+MODES = ("G", "Ge", "SOLID")  # the conductance variants a foil element runs with
 SKIN_DEPTH_MARGIN = 5.0
 
 
