@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .dae_analysis import Classification, ElementKind
+from .dae_analysis import ElementKind
 from .errors import ParseError, UnclassifiedElementError, ValidationError
 from .winding import AssembledFoilSystem, SolidSystem, load_system, solid_from_foil
 
@@ -75,18 +75,6 @@ class SourceWaveform:
         if self.kind == "psin":
             we = TWO_PI * self.f_eps
             out = out + self.eps * (1.0 - np.cos(we * t)) / we
-        return self.amplitude * out
-
-    def derivative(self, t):
-        """Exact time derivative."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "dc":
-            return np.zeros_like(t)
-        w = TWO_PI * self.frequency
-        out = w * np.cos(w * t)
-        if self.kind == "psin":
-            we = TWO_PI * self.f_eps
-            out = out + self.eps * we * np.cos(we * t)
         return self.amplitude * out
 
 
@@ -235,19 +223,12 @@ def parse_netlist(text: str) -> Netlist:
 
 
 def _field_kind(branch: Branch, field_classes) -> str:
-    """Map a field element to 'L' or 'R' behavior via its classification."""
+    """Map a field element to 'L' or 'R' behavior via its :class:`ElementKind`."""
     if field_classes is None or branch.name not in field_classes:
         raise UnclassifiedElementError(
             f"field element {branch.name!r} lacks an inductance-/resistance-like classification"
         )
-    cls = field_classes[branch.name]
-    if isinstance(cls, Classification):
-        kind = cls.kind
-    elif isinstance(cls, ElementKind):
-        kind = cls
-    else:
-        kind = ElementKind(cls)
-    if kind is ElementKind.RESISTANCE_LIKE:
+    if field_classes[branch.name] is ElementKind.RESISTANCE_LIKE:
         return "R"
     return "L"  # inductance-like and solid-degenerate behave inductively
 
@@ -583,9 +564,3 @@ def lumped_inductor_voltage_driven(L: float, psi0: float, waveform: SourceWavefo
         raise ValidationError("inductance must be positive")
     return (psi0 + waveform.integral(t)) / L
 
-
-def lumped_inductor_current_driven(L: float, waveform: SourceWaveform, t):
-    """Closed-form inductor voltage under a current drive: L di/dt."""
-    if L <= 0.0:
-        raise ValidationError("inductance must be positive")
-    return L * waveform.derivative(t)

@@ -236,12 +236,12 @@ def noise_metric(times, values, frequency) -> NoiseMetric:
     return NoiseMetric(fundamental_amplitude=amplitude, noise_rms=rms, ratio=ratio)
 
 
-def run_fig4(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_fig4(cfg: ExperimentConfig, out_dir) -> dict:
     """Perturbation-sensitivity study: both drives at two step sizes.
 
     Uses the consistent conductance on the fine mesh.  The current-driven
     voltage noise grows when the step size shrinks; the voltage-driven
-    current noise does not.
+    current noise does not.  Writes the CSV, SVG and metrics files to ``out_dir``.
     """
     system = build_system(cfg, build_mesh(cfg, FINE_LEVEL))[0]
     results = {"series": {}, "metrics": {}}
@@ -256,22 +256,21 @@ def run_fig4(cfg: ExperimentConfig, out_dir=None) -> dict:
     results["metrics"]["vnoise_ratio_small_over_large_dt"] = (
         m["ifed_dt1e-05"].noise_rms / m["ifed_dt1e-04"].noise_rms
     )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for key, series in results["series"].items():
-            emit_csv(out / f"fig4_{key}.csv", series, "FW1")
-        for name, drive, probe, ylabel in (
-            ("current_driven", "i", "voltages", "v [V]"),
-            ("voltage_driven", "v", "currents", "i [A]"),
-        ):
-            runs = [(dt, results["series"][f"{drive}fed_dt{dt:.0e}"]) for dt in (1.0e-5, 1.0e-4)]
-            curves = [
-                (f"dt={dt:.0e} s", s.times, getattr(s, probe)["FW1"], s.diverged_at)
-                for dt, s in runs
-            ]
-            emit_svg_plot(out / f"fig4_{name}.svg", curves, xlabel="t [s]", ylabel=ylabel)
-        (out / "fig4_metrics.txt").write_text(format_fig4_metrics(results), encoding="ascii")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for key, series in results["series"].items():
+        emit_csv(out / f"fig4_{key}.csv", series, "FW1")
+    for name, drive, probe, ylabel in (
+        ("current_driven", "i", "voltages", "v [V]"),
+        ("voltage_driven", "v", "currents", "i [A]"),
+    ):
+        runs = [(dt, results["series"][f"{drive}fed_dt{dt:.0e}"]) for dt in (1.0e-5, 1.0e-4)]
+        curves = [
+            (f"dt={dt:.0e} s", s.times, getattr(s, probe)["FW1"], s.diverged_at)
+            for dt, s in runs
+        ]
+        emit_svg_plot(out / f"fig4_{name}.svg", curves, xlabel="t [s]", ylabel=ylabel)
+    (out / "fig4_metrics.txt").write_text(format_fig4_metrics(results), encoding="ascii")
     return results
 
 
@@ -290,7 +289,7 @@ def format_fig4_metrics(results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_fig5(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_fig5(cfg: ExperimentConfig, out_dir) -> dict:
     """Conductance-variant comparison across mesh refinement, current-driven.
 
     Four runs: both conductance variants on the coarse and fine mesh at
@@ -299,7 +298,7 @@ def run_fig5(cfg: ExperimentConfig, out_dir=None) -> dict:
     be indefinite on a coarse mesh and that run may diverge; the consistent
     variant is ``Ge``.  Reported per mesh: the relative RMS discrepancy between
     the two voltage traces (``inf`` if either run diverged) and any divergence
-    markers.
+    markers, written with the CSV and SVG files to ``out_dir``.
     """
     results = {"series": {}, "discrepancy": {}, "diverged": {}}
     for mesh_name, level in (("coarse", COARSE_LEVEL), ("fine", FINE_LEVEL)):
@@ -321,31 +320,28 @@ def run_fig5(cfg: ExperimentConfig, out_dir=None) -> dict:
         v_ge = pair["Ge"].voltages["FW1"]
         ref = float(np.sqrt(np.mean(v_ge**2)))
         results["discrepancy"][mesh_name] = float(np.sqrt(np.mean((v_g - v_ge) ** 2))) / ref
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for key, series in results["series"].items():
-            emit_csv(out / f"fig5_{key}.csv", series, "FW1")
-        for mesh_name in ("coarse", "fine"):
-            s_g = results["series"][f"{mesh_name}_G"]
-            s_ge = results["series"][f"{mesh_name}_Ge"]
-            emit_svg_plot(
-                out / f"fig5_{mesh_name}.svg",
-                [
-                    ("original G", s_g.times, s_g.voltages["FW1"], s_g.diverged_at),
-                    ("consistent Ge", s_ge.times, s_ge.voltages["FW1"], s_ge.diverged_at),
-                ],
-                xlabel="t [s]",
-                ylabel="v [V]",
-            )
-        lines = [
-            f"{name}: rel RMS discrepancy = {value:.6e}"
-            for name, value in results["discrepancy"].items()
-        ]
-        lines += [
-            f"diverged[{key}] = {step}" for key, step in results["diverged"].items()
-        ]
-        (out / "fig5_metrics.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for key, series in results["series"].items():
+        emit_csv(out / f"fig5_{key}.csv", series, "FW1")
+    for mesh_name in ("coarse", "fine"):
+        s_g = results["series"][f"{mesh_name}_G"]
+        s_ge = results["series"][f"{mesh_name}_Ge"]
+        emit_svg_plot(
+            out / f"fig5_{mesh_name}.svg",
+            [
+                ("original G", s_g.times, s_g.voltages["FW1"], s_g.diverged_at),
+                ("consistent Ge", s_ge.times, s_ge.voltages["FW1"], s_ge.diverged_at),
+            ],
+            xlabel="t [s]",
+            ylabel="v [V]",
+        )
+    lines = [
+        f"{name}: rel RMS discrepancy = {value:.6e}"
+        for name, value in results["discrepancy"].items()
+    ]
+    lines += [f"diverged[{key}] = {step}" for key, step in results["diverged"].items()]
+    (out / "fig5_metrics.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
     return results
 
 

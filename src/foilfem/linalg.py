@@ -38,28 +38,6 @@ def canonical_csr(a) -> sp.csr_matrix:
     return m
 
 
-def validate_csr(a: sp.csr_matrix) -> None:
-    """Check the CSR structural invariants, raising ``ValueError`` on violation."""
-    if not sp.isspmatrix_csr(a):
-        raise ValueError("expected a CSR matrix")
-    n_rows, n_cols = a.shape
-    if a.indptr.shape[0] != n_rows + 1:
-        raise ValueError("row offset array has wrong length")
-    if np.any(np.diff(a.indptr) < 0):
-        raise ValueError("row offsets must be nondecreasing")
-    if a.indices.size:
-        if a.indices.min() < 0 or a.indices.max() >= n_cols:
-            raise ValueError("column index out of bounds")
-    for i in range(n_rows):
-        cols = a.indices[a.indptr[i]:a.indptr[i + 1]]
-        if cols.size > 1 and np.any(np.diff(cols) <= 0):
-            raise ValueError(f"column indices not strictly increasing in row {i}")
-    if a.data.size and np.any(a.data == 0.0):
-        raise ValueError("explicitly stored zeros present")
-    if a.data.size and not np.all(np.isfinite(a.data)):
-        raise ValueError("non-finite matrix entries")
-
-
 def max_abs(a) -> float:
     """Largest absolute entry of a sparse or dense matrix (0.0 if empty)."""
     if sp.issparse(a):
@@ -220,10 +198,3 @@ def write_matrix_market(path, a) -> None:
         arr = arr.reshape(-1, 1)
     scipy.io.mmwrite(str(path), arr)
 
-
-def read_matrix_market(path):
-    """Read a Matrix Market file; coordinate data returns canonical CSR."""
-    a = scipy.io.mmread(str(path))
-    if sp.issparse(a):
-        return canonical_csr(a)
-    return np.asarray(a, dtype=float)

@@ -22,6 +22,7 @@ from .linalg import sparse_factorize
 
 MAX_STEPS = 10_000_000
 BLOWUP_BOUND = 1e12  # a state entry beyond this magnitude marks divergence
+ZERO_START_ATOL = 1e-12  # largest source magnitude a zero start leaves on an algebraic row
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class TimeSeries:
         return self.times, self.currents[name], self.voltages[name]
 
 
-def consistent_zero_start(dae: DAESystem, t0: float, tol: float = 1e-12) -> np.ndarray:
+def consistent_zero_start(dae: DAESystem, t0: float) -> np.ndarray:
     """All-zero initial state, verified against the algebraic rows at ``t0``.
 
     Rows of ``E`` without any stored entry are purely algebraic; a zero state
@@ -76,7 +77,7 @@ def consistent_zero_start(dae: DAESystem, t0: float, tol: float = 1e-12) -> np.n
     """
     algebraic = np.flatnonzero(np.diff(dae.E.indptr) == 0)
     residual = dae.source(t0)[algebraic]
-    if residual.size and float(np.max(np.abs(residual))) > tol:
+    if residual.size and float(np.max(np.abs(residual))) > ZERO_START_ATOL:
         raise InconsistentInitialStateError(
             f"zero state violates algebraic rows at t0 (residual {np.max(np.abs(residual)):.3e})"
         )

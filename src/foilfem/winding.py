@@ -60,7 +60,6 @@ TWO_PI = 2.0 * math.pi
 _EXACT_G_GAUSS_POINTS = 32
 BASIS_FAMILIES = ("legendre", "hat")
 MODES = ("G", "Ge", "SOLID")  # the conductance variants a foil element runs with
-SKIN_DEPTH_MARGIN = 5.0
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,6 @@ class FoilWindingSpec:
             raise ValidationError("conductivities must be nonnegative")
 
     @property
-    def conductor_width(self) -> float:
-        return self.fill_factor * self.foil_pitch
-
-    @property
     def radial_extent(self) -> float:
         return self.n_turns * self.foil_pitch
 
@@ -109,10 +104,6 @@ class FoilWindingSpec:
     @property
     def mid_radius(self) -> float:
         return self.inner_radius + 0.5 * self.radial_extent
-
-    @property
-    def z_bounds(self) -> tuple:
-        return (self.z_center - 0.5 * self.height, self.z_center + 0.5 * self.height)
 
     def alpha_normalized(self, r):
         """Map radius to the normalized stacking coordinate in [-1, 1]."""
@@ -133,21 +124,6 @@ def homogenize_materials(fill_factor, sigma_c, sigma_i, nu_c, nu_i) -> RegionMat
     nu_alpha = lam * nu_c + (1.0 - lam) * nu_i
     nu_beta = 1.0 / (lam / nu_c + (1.0 - lam) / nu_i)
     return RegionMaterial(sigma=(0.0, sigma_beta), nu=(nu_alpha, nu_beta))
-
-
-def skin_depth(frequency: float, mu: float, sigma: float) -> float:
-    """Skin depth sqrt(2 / (omega mu sigma))."""
-    if frequency <= 0.0 or sigma <= 0.0 or mu <= 0.0:
-        raise ValueError("frequency, mu and sigma must be positive")
-    omega = TWO_PI * frequency
-    return math.sqrt(2.0 / (omega * mu * sigma))
-
-
-def skin_depth_ok(spec: FoilWindingSpec, frequency: float):
-    """Return (delta, ok): the homogenization needs conductor width << delta,
-    taken as ``conductor_width <= delta / SKIN_DEPTH_MARGIN`` in vacuum permeability."""
-    delta = skin_depth(frequency, MU0, spec.sigma_c)
-    return delta, spec.conductor_width <= delta / SKIN_DEPTH_MARGIN
 
 
 def device_materials(spec: FoilWindingSpec, yoke_sigma: float = 10.0, yoke_mu_r: float = 1000.0) -> MaterialSpec:
@@ -241,40 +217,6 @@ def distribution_coefficients(mesh: Mesh, disc: FieldDiscretization) -> np.ndarr
     dofs = disc.dof_index[winding_nodes(mesh)]
     x[dofs[dofs >= 0]] = 1.0 / TWO_PI
     return x
-
-
-def distribution_line_integrals(mesh: Mesh, disc: FieldDiscretization, x, points) -> np.ndarray:
-    """Closed azimuthal line integrals of the distribution field at sample points.
-
-    For each (r, z) the integral equals ``2 pi r * zeta_phi = 2 pi * value``
-    of the P1 representation of ``A'``-style coefficients; inside the winding
-    it must equal 1.
-    """
-    nodal = np.zeros(mesh.n_nodes)
-    free = disc.dof_index >= 0
-    nodal[free] = np.asarray(x)[disc.dof_index[free]]
-    vals = evaluate_p1(mesh, nodal, points)
-    return TWO_PI * vals
-
-
-def evaluate_p1(mesh: Mesh, nodal_values, points) -> np.ndarray:
-    """Evaluate a P1 nodal field at points, each in the lowest-numbered element
-    whose barycentric coordinates are all >= -1e-12 (NaN outside the mesh)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    p = mesh.nodes[mesh.triangles]
-    r1, z1, r2, z2, r3, z3 = (p[:, a, d] for a in range(3) for d in range(2))
-    det = (r2 - r1) * (z3 - z1) - (r3 - r1) * (z2 - z1)
-    out = np.full(pts.shape[0], np.nan)
-    for i, (r, z) in enumerate(pts):
-        l2 = ((r - r1) * (z3 - z1) - (z - z1) * (r3 - r1)) / det
-        l3 = ((r2 - r1) * (z - z1) - (z2 - z1) * (r - r1)) / det
-        l1 = 1.0 - l2 - l3
-        hits = np.flatnonzero((l1 >= -1e-12) & (l2 >= -1e-12) & (l3 >= -1e-12))
-        if hits.size:
-            e = hits[0]
-            vals = nodal_values[mesh.triangles[e]]
-            out[i] = l1[e] * vals[0] + l2[e] * vals[1] + l3[e] * vals[2]
-    return out
 
 
 def conductive_support(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization) -> np.ndarray:
@@ -445,15 +387,6 @@ def solid_from_foil(sys: AssembledFoilSystem) -> SolidSystem:
     """Collapse a foil system to its solid-conductor equivalent."""
     x_sol = sys.M @ sys.x
     return SolidSystem(K=sys.K, M=sys.M, x_sol=x_sol, G_sol=float(sys.x @ x_sol))
-
-
-def per_turn_voltages(basis: VoltageBasis, u: np.ndarray, n_turns: int) -> np.ndarray:
-    """Diagnostic: voltage profile sampled at the per-turn midpoints."""
-    alphas = -1.0 + (2.0 * np.arange(1, n_turns + 1) - 1.0) / n_turns
-    samples = np.zeros(n_turns)
-    for l in range(basis.n_functions):
-        samples += u[l] * basis.eval(l, alphas)
-    return samples
 
 
 def save_system(path, sys: AssembledFoilSystem) -> None:

@@ -157,24 +157,6 @@ def loop_conductive_support(mesh, materials, disc):
     return np.asarray(sorted(int(d) for d in dofs if d >= 0), dtype=np.intp)
 
 
-def loop_evaluate_p1(mesh, nodal_values, points):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.full(pts.shape[0], np.nan)
-    p = mesh.nodes[mesh.triangles]
-    for i, (r, z) in enumerate(pts):
-        for e in range(mesh.n_triangles):
-            (r1, z1), (r2, z2), (r3, z3) = p[e]
-            det = (r2 - r1) * (z3 - z1) - (r3 - r1) * (z2 - z1)
-            l2 = ((r - r1) * (z3 - z1) - (z - z1) * (r3 - r1)) / det
-            l3 = ((r2 - r1) * (z - z1) - (z2 - z1) * (r - r1)) / det
-            l1 = 1.0 - l2 - l3
-            if min(l1, l2, l3) >= -1e-12:
-                vals = nodal_values[mesh.triangles[e]]
-                out[i] = l1 * vals[0] + l2 * vals[1] + l3 * vals[2]
-                break
-    return out
-
-
 def loop_tensor_mesh(r_ticks, z_ticks, region_of):
     r_ticks = np.asarray(r_ticks, dtype=float)
     z_ticks = np.asarray(z_ticks, dtype=float)

@@ -16,7 +16,6 @@ from oracles import (
     loop_assemble_X,
     loop_conductive_support,
     loop_edge_counts,
-    loop_evaluate_p1,
     loop_mass_like,
     loop_refine_uniform,
     loop_tensor_mesh,
@@ -39,7 +38,6 @@ from foilfem.winding import (
     assemble_X,
     conductive_support,
     device_materials,
-    evaluate_p1,
     solid_from_foil,
 )
 
@@ -167,24 +165,6 @@ class TestEdgeCases:
             loop_assemble_X(mesh, mats, disc, spec, basis, x),
         )
         assert not np.any(assemble_G_original(mesh, mats, disc, spec, basis, x))
-
-
-def test_evaluate_p1_matches_loop_first_match():
-    mesh = build_mesh(ExperimentConfig(), 0)
-    rng = np.random.default_rng(7)
-    values = rng.standard_normal(mesh.n_nodes)
-    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
-    points = np.vstack(
-        [
-            lo + (hi - lo) * rng.random((40, 2)),
-            mesh.nodes[::7],  # vertices sit in several elements: first match wins
-            0.5 * (mesh.nodes[mesh.triangles[::5, 0]] + mesh.nodes[mesh.triangles[::5, 1]]),
-            [hi + 1.0, lo - 1.0],  # outside: NaN
-        ]
-    )
-    batched = evaluate_p1(mesh, values, points)
-    assert np.array_equal(batched, loop_evaluate_p1(mesh, values, points), equal_nan=True)
-    assert np.isnan(batched[-2:]).all()
 
 
 def test_solid_stamp_couples_x_sol_both_ways():

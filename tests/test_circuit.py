@@ -15,7 +15,6 @@ from foilfem.circuit import (
     SourceWaveform,
     detect_cv_loops,
     detect_li_cutsets,
-    lumped_inductor_current_driven,
     lumped_inductor_voltage_driven,
     mna_stamp,
     parse_netlist,
@@ -272,24 +271,3 @@ class TestLumpedInductorAnalytics:
     def test_zero_voltage_keeps_initial_flux(self):
         wf = SourceWaveform(kind="dc", amplitude=0.0)
         assert lumped_inductor_voltage_driven(2.0, 3.0, wf, 7.0) == pytest.approx(1.5)
-
-    def test_current_driven_sine(self):
-        wf = SourceWaveform(kind="sin", amplitude=1.0, frequency=1.0 / (2 * math.pi))
-        # i = sin(t), L = 2 -> v = 2 cos(t)
-        for t in (0.0, 0.3, 1.1):
-            assert lumped_inductor_current_driven(2.0, wf, t) == pytest.approx(2 * math.cos(t))
-
-    def test_constant_current_zero_voltage(self):
-        wf = SourceWaveform(kind="dc", amplitude=5.0)
-        assert lumped_inductor_current_driven(1e-3, wf, 0.4) == 0.0
-
-    def test_perturbation_dominates_when_fast(self):
-        f1, f2, i2 = 50.0, 1e7, 1e-3
-        wf = SourceWaveform(kind="psin", amplitude=1.0, frequency=f1, eps=i2, f_eps=f2)
-        l_val = 1e-3
-        ts = np.linspace(0.0, 0.02, 2000)
-        v = lumped_inductor_current_driven(l_val, wf, ts)
-        base = 2 * math.pi * f1 * l_val  # amplitude of the unperturbed term
-        pert = 2 * math.pi * f2 * i2 * l_val
-        assert pert > 10 * base
-        assert np.max(np.abs(v)) > 5 * base

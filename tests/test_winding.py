@@ -7,6 +7,7 @@ import pytest
 
 from foilfem.assembly import QUADRATURE_RULES, FieldDiscretization, MaterialSpec
 from foilfem.errors import ValidationError
+from foilfem.experiments import ExperimentConfig, build_mesh
 from foilfem.linalg import max_abs, rank
 from foilfem.mesh import GeometrySpec, RegionTag, generate_parametric_mesh, rectangle_mesh, refine_uniform
 from foilfem.winding import (
@@ -23,13 +24,9 @@ from foilfem.winding import (
     conductive_support,
     device_materials,
     distribution_coefficients,
-    distribution_line_integrals,
     homogenize_materials,
     load_system,
-    per_turn_voltages,
     save_system,
-    skin_depth,
-    skin_depth_ok,
     solid_from_foil,
 )
 
@@ -102,19 +99,6 @@ class TestHomogenization:
         assert mat.nu[1] == pytest.approx(2.0)
 
 
-class TestSkinDepth:
-    def test_reference_value(self):
-        assert skin_depth(50.0, MU0, 6.0e7) == pytest.approx(9.19e-3, rel=1e-3)
-
-    def test_shipped_winding_is_valid(self):
-        delta, ok = skin_depth_ok(SPEC, 50.0)
-        assert ok
-        assert SPEC.conductor_width == pytest.approx(0.224e-3)
-
-    def test_scaling_law(self):
-        assert skin_depth(50.0, MU0, 4.0 * 6.0e7) == pytest.approx(0.5 * skin_depth(50.0, MU0, 6.0e7))
-
-
 class TestVoltageBasis:
     def test_legendre_constant(self):
         basis = VoltageBasis(5)
@@ -165,13 +149,18 @@ class TestDistribution:
         wdofs = set(disc.dof_index[wnodes].tolist()) - {-1}
         assert set(np.flatnonzero(x).tolist()) <= wdofs
 
-    def test_unit_line_integral_at_stations(self, coarse_setup):
-        mesh, disc, _ = coarse_setup
-        x = distribution_coefficients(mesh, disc)
-        radii = np.linspace(SPEC.inner_radius + 1e-4, SPEC.outer_radius - 1e-4, 5)
-        pts = np.column_stack([radii, np.full(5, SPEC.z_center)])
-        vals = distribution_line_integrals(mesh, disc, x, pts)
-        assert np.allclose(vals, 1.0, atol=1e-12)
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_exactly_one_over_two_pi_on_every_winding_dof(self, level):
+        # P1 interpolates this constant exactly, so the field has unit azimuthal
+        # line integral everywhere in the winding
+        mesh = build_mesh(ExperimentConfig(), level)
+        disc = FieldDiscretization.from_mesh(mesh)
+        wnodes = np.unique(mesh.triangles[mesh.regions == int(RegionTag.FOIL_WINDING)])
+        wdofs = disc.dof_index[wnodes]
+        assert np.all(wdofs >= 0)  # no winding node is fixed
+        expected = np.zeros(disc.n_dofs)
+        expected[wdofs] = 1.0 / (2.0 * math.pi)
+        assert np.array_equal(distribution_coefficients(mesh, disc), expected)
 
 
 class TestCouplingBlocks:
@@ -422,10 +411,3 @@ class TestSystemRoundtrip:
             load_system(bad)
         assert str(bad) in str(err.value)
         assert array in str(err.value) and message in str(err.value)
-
-    def test_per_turn_voltage_probe(self):
-        basis = VoltageBasis(3)
-        u = np.array([2.0, 0.0, 0.0])
-        v = per_turn_voltages(basis, u, 5)
-        assert np.allclose(v, 2.0)
-        assert v.shape == (5,)
