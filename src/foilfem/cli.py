@@ -12,7 +12,9 @@ Subcommands::
 
 Every subcommand takes ``--config <path>``, a flat ``key = value`` file, and
 ``--out``, the output directory.  Each declares only the behaviour flags it
-reads (``SUBCOMMAND_FLAGS``); explicit flags override file values.
+reads (``SUBCOMMAND_FLAGS``); explicit flags override file values.  A usage
+error exits with status 2, a rejected input or an unreadable or unwritable
+file with a one-line ``foilfem: error:`` message and status 1.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
+from .errors import FoilFemError
 from .experiments import (
     DRIVES,
     ExperimentConfig,
@@ -213,8 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a program error is one stderr line and status 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FoilFemError, OSError) as exc:
+        print(f"foilfem: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

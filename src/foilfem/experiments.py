@@ -84,8 +84,10 @@ class ExperimentConfig:
             if value not in allowed:
                 message = f"{key} must be one of {', '.join(allowed)}, got {value!r}"
                 raise ValidationError(message, key=key)
-        if self.n_basis < 1:
-            raise ValidationError(f"n_basis must be at least 1, got {self.n_basis!r}", key="n_basis")
+        for key, least in (("n_basis", 1), ("mesh_level", 0)):
+            value = getattr(self, key)
+            if value < least:
+                raise ValidationError(f"{key} must be at least {least}, got {value!r}", key=key)
         for key in ("dt", "duration"):
             value = getattr(self, key)
             if not value > 0.0:  # also rejects NaN

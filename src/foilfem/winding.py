@@ -409,9 +409,12 @@ def load_system(path) -> AssembledFoilSystem:
     """Load a foil system saved by :func:`save_system`.
 
     Raises :class:`ValidationError`, naming the file and the array, when an
-    array is missing or the blocks do not fit together: K and M square and of
-    one size, X with a row per DoF and a column per entry of ``c``, G and G_e
-    ``(n_basis, n_basis)``, finite and symmetric.
+    array is missing or the blocks do not fit together: K and M well-formed
+    CSR (every index in bounds), square and of one size; X with a row per DoF
+    and a column per entry of ``c``; ``x`` of shape ``(n,)``; G and G_e
+    ``(n_basis, n_basis)`` and symmetric; E, when present, ``(n, n_basis)``;
+    K, M, X, ``c``, ``x``, G, G_e and E finite; ``support``, when present, a
+    vector of DoF indices in ``[0, n)``.
     """
 
     def invalid(message):
@@ -427,9 +430,11 @@ def load_system(path) -> AssembledFoilSystem:
         def csr(name):
             parts = [array(f"{name}_{part}") for part in ("data", "indices", "indptr", "shape")]
             try:
-                return canonical_csr(sp.csr_matrix(tuple(parts[:3]), shape=tuple(parts[3])))
+                a = sp.csr_matrix(tuple(parts[:3]), shape=tuple(parts[3]))
+                a.check_format(full_check=True)
             except ValueError as exc:
                 raise invalid(f"malformed sparse matrix {name}: {exc}") from exc
+            return canonical_csr(a)
 
         k, m = csr("K"), csr("M")
         big_x, g, g_e, c, x = (array(name) for name in ("X", "G", "G_e", "c", "x"))
@@ -448,11 +453,20 @@ def load_system(path) -> AssembledFoilSystem:
         raise invalid(f"X has shape {big_x.shape}, not {n} rows (the DoFs of K)")
     if big_x.shape[1] != n_basis:
         raise invalid(f"X has {big_x.shape[1]} columns but len(c) = {n_basis}")
-    for name, a in (("G", g), ("G_e", g_e)):
-        if a.shape != (n_basis, n_basis):
-            raise invalid(f"{name} has shape {a.shape}, not ({n_basis}, {n_basis})")
-        if not np.all(np.isfinite(a)):
+    dense = {"X": big_x, "c": c, "x": x, "G": g, "G_e": g_e, "E": e}
+    shapes = {"x": (n,), "G": (n_basis, n_basis), "G_e": (n_basis, n_basis), "E": (n, n_basis)}
+    for name, shape in shapes.items():
+        if dense[name] is not None and dense[name].shape != shape:
+            raise invalid(f"{name} has shape {dense[name].shape}, not {shape}")
+    for name, values in (("K", k.data), ("M", m.data), *dense.items()):
+        if values is not None and not np.all(np.isfinite(values)):
             raise invalid(f"{name} has non-finite entries")
+    for name, a in (("G", g), ("G_e", g_e)):
         if max_abs(a - a.T) > 1e-12 * max_abs(a):
             raise invalid(f"{name} is not symmetric to 1e-12 relative")
+    if support is not None and (
+        support.ndim != 1 or support.dtype.kind not in "iu"
+        or (support.size and (support.min() < 0 or support.max() >= n))
+    ):
+        raise invalid(f"support is not a vector of DoF indices in [0, {n})")
     return AssembledFoilSystem(K=k, M=m, X=big_x, G=g, G_e=g_e, c=c, x=x, E=e, support=support)

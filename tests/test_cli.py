@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from foilfem.cli import build_parser, main
-from foilfem.errors import ValidationError
 from foilfem.experiments import read_csv_series
 from foilfem.mesh import read_mesh
 from foilfem.winding import load_system
@@ -119,12 +118,34 @@ class TestSimulateCommand:
         t, _, _ = read_csv_series(tmp_path / "simulate_ifed_Ge_level0.csv")
         assert t.size == 11
 
-    def test_config_value_outside_its_set_is_rejected_with_its_line(self, tmp_path):
+    def test_config_value_outside_its_set_is_rejected_with_its_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("duration = 1e-3\ndrive = I\n")
-        with pytest.raises(ValidationError, match=r"drive must be one of v, i, got 'I' \(line 2\)"):
-            main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "foilfem: error: drive must be one of v, i, got 'I' (line 2)\n"
         assert not list(tmp_path.glob("*.csv"))
+
+
+class TestProgramErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--dt", "0"], "dt must be positive, got 0.0"),
+            (["mesh", "gen", "--mesh-level", "-1"], "mesh_level must be at least 0, got -1"),
+            (["classify", "--config", "{tmp}/absent.cfg"], "No such file or directory"),
+            (["mesh", "info", "--mesh", "{tmp}/absent.txt"], "No such file or directory"),
+        ],
+        ids=["dt-zero", "mesh-level-negative", "config-absent", "mesh-absent"],
+    )
+    def test_one_line_on_stderr_and_status_1(self, argv, message, tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("foilfem: error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReportCommands:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from foilfem.assembly import QUADRATURE_RULES, FieldDiscretization, MaterialSpec
+from foilfem.circuit import mna_stamp, parse_netlist
 from foilfem.errors import ValidationError
 from foilfem.experiments import ExperimentConfig, build_mesh
 from foilfem.linalg import max_abs, rank
 from foilfem.mesh import GeometrySpec, RegionTag, generate_parametric_mesh, rectangle_mesh, refine_uniform
 from foilfem.winding import (
+    MODES,
     MU0,
     FoilWindingSpec,
     VoltageBasis,
@@ -380,6 +382,19 @@ class TestSystemRoundtrip:
         assert np.array_equal(again.G_e, coarse_system.G_e)
         assert np.array_equal(again.c, coarse_system.c)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_file_field_element_stamps_like_the_in_memory_system(self, tmp_path, coarse_system, mode):
+        path = tmp_path / "sys.npz"
+        save_system(path, coarse_system)
+        memory = mna_stamp(parse_netlist(f"V1 1 0 SIN 1 50\nFW1 1 0 FILE mem MODE {mode}"),
+                           field_systems={"mem": coarse_system})
+        disk = mna_stamp(parse_netlist(f"V1 1 0 SIN 1 50\nFW1 1 0 FILE {path} MODE {mode}"))
+        for name in ("E", "A"):
+            a, b = getattr(memory, name), getattr(disk, name)
+            assert a.shape == b.shape
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
+
     @pytest.mark.parametrize(
         "array, edit, message",
         [
@@ -395,9 +410,19 @@ class TestSystemRoundtrip:
             ("G", lambda d: d["G"].__setitem__((0, 0), np.nan), "G has non-finite entries"),
             ("G_e", lambda d: d["G_e"].__setitem__((0, 1), 1.001 * d["G_e"][0, 1]),
              "G_e is not symmetric"),
+            ("K", lambda d: d["K_indices"].__setitem__(5, 10**6), "malformed sparse matrix K"),
+            ("K", lambda d: d["K_data"].__setitem__(5, np.nan), "K has non-finite entries"),
+            ("X", lambda d: d["X"].__setitem__((3, 0), np.inf), "X has non-finite entries"),
+            ("x", lambda d: d.update(x=d["x"][:-1]), "x has shape (83,), not (84,)"),
+            ("E", lambda d: d.update(E=d["E"][:, :4]), "E has shape (84, 4), not (84, 5)"),
+            ("support", lambda d: d["support"].__setitem__(-1, 84),
+             "support is not a vector of DoF indices in [0, 84)"),
+            ("support", lambda d: d.update(support=d["support"].astype(float)),
+             "support is not a vector of DoF indices"),
         ],
         ids=["missing", "K-not-square", "M-size", "X-rows", "X-columns", "G-shape", "G-nan",
-             "Ge-asymmetric"],
+             "Ge-asymmetric", "K-index", "K-nan", "X-inf", "x-short", "E-columns",
+             "support-range", "support-float"],
     )
     def test_malformed_archive_is_named(self, tmp_path, coarse_system, array, edit, message):
         good = tmp_path / "good.npz"
