@@ -25,7 +25,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
-from .errors import FoilFemError
+from .errors import FoilFemError, ValidationError
 from .experiments import (
     DRIVES,
     ExperimentConfig,
@@ -82,6 +82,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_mesh(args) -> int:
+    if args.mesh_action != "gen" and args.mesh is None:
+        raise ValidationError(f"mesh {args.mesh_action} needs --mesh <file>")
     cfg = _config_from(args)
     if args.mesh_action == "gen":
         mesh = build_mesh(cfg)

@@ -73,7 +73,3 @@ class InconsistentInitialStateError(FoilFemError):
 
 class SingularSystemAtStepError(FoilFemError):
     """The implicit Euler iteration matrix could not be factorized."""
-
-    def __init__(self, message, step=0):
-        self.step = step
-        super().__init__(message)

@@ -1,9 +1,13 @@
 """Implicit Euler integration of the stamped field-circuit DAE.
 
 Constant step size, one factorization of ``E/dt + A`` per run, deterministic
-output.  Divergence (state norm beyond ``BLOWUP_BOUND``, or non-finite values)
-is a reportable outcome, not an error: the integrator marks the step
-and returns the partial series so unstable configurations can be plotted.
+output.  Every run starts from the all-zero state, checked against the
+algebraic rows by :func:`consistent_zero_start`.  The loop keeps only the
+state entries the probes read; each probe's (i, v) trace is derived from them
+after the loop.  Divergence (a state entry whose magnitude is not at most
+``BLOWUP_BOUND``, which includes NaN and inf) is a reportable outcome, not an
+error: the integrator marks the step and returns the partial series so
+unstable configurations can be plotted.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import DAESystem, Probe
+from .circuit import DAESystem
 from .errors import (
     InconsistentInitialStateError,
     SingularMatrixError,
     SingularSystemAtStepError,
+    ValidationError,
 )
 from .linalg import sparse_factorize
 
@@ -27,21 +32,20 @@ ZERO_START_ATOL = 1e-12  # largest source magnitude a zero start leaves on an al
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time grid and policies for one integration run."""
+    """Time grid of one integration run."""
 
     t0: float
     t_end: float
     dt: float
-    snapshot_stride: int = 0  # 0 disables full-state snapshots
-    initial_state: np.ndarray | None = None  # zero start when omitted
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= self.t0:
-            raise ValueError("t_end must exceed t0")
-        if self.n_steps > MAX_STEPS:
-            raise ValueError(f"step count {self.n_steps} exceeds the {MAX_STEPS} guard")
+        if not self.dt > 0.0:
+            raise ValidationError(f"dt must be positive, got {self.dt!r}", key="dt")
+        if not self.t_end > self.t0:
+            raise ValidationError(f"t_end must exceed t0, got {self.t_end!r}", key="duration")
+        steps = (self.t_end - self.t0) / self.dt
+        if not steps <= MAX_STEPS:
+            raise ValidationError(f"step count {steps:.0f} exceeds the {MAX_STEPS} guard", key="dt")
 
     @property
     def n_steps(self) -> int:
@@ -62,7 +66,6 @@ class TimeSeries:
     currents: dict
     voltages: dict
     diverged_at: int | None = None
-    states: np.ndarray | None = None
 
     def probe(self, name: str):
         return self.times, self.currents[name], self.voltages[name]
@@ -84,70 +87,52 @@ def consistent_zero_start(dae: DAESystem, t0: float) -> np.ndarray:
     return np.zeros(dae.n)
 
 
-def _probe_values(probe: Probe, y, y_prev, dt, t):
-    phi_p = y[probe.pos_index] if probe.pos_index >= 0 else 0.0
-    phi_n = y[probe.neg_index] if probe.neg_index >= 0 else 0.0
-    v = phi_p - phi_n
-    if probe.kind == "R":
-        return v / probe.value, v
-    if probe.kind == "C":
-        vp_p = y_prev[probe.pos_index] if probe.pos_index >= 0 else 0.0
-        vp_n = y_prev[probe.neg_index] if probe.neg_index >= 0 else 0.0
-        return probe.value * (v - (vp_p - vp_n)) / dt, v
-    if probe.kind == "I":
-        return float(probe.value(t)), v
-    return y[probe.current_index], v  # L, V, FW carry their current as an unknown
-
-
 def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSeries:
-    """March ``(E/dt + A) y_next = (E/dt) y + s(t_next)`` over the time grid."""
+    """March ``(E/dt + A) y_next = (E/dt) y + s(t_next)`` from the zero state.
+
+    After the loop, R, C and I probes derive their current (``v / R``, the
+    backward difference ``C dv/dt``, which is 0 at step 0, and the source
+    waveform on the time grid); L, V and FW probes read theirs from the state.
+    """
     n_steps = cfg.n_steps
     times = cfg.t0 + cfg.dt * np.arange(n_steps + 1)
     if probe_names is None:
         probe_names = list(dae.probes)
+    probes = {name: dae.probes[name] for name in probe_names}
     try:
         lhs = sparse_factorize(dae.E.multiply(1.0 / cfg.dt) + dae.A)
     except SingularMatrixError as exc:
-        raise SingularSystemAtStepError(f"iteration matrix singular: {exc}", step=0) from exc
+        raise SingularSystemAtStepError(f"iteration matrix singular: {exc}") from exc
     e_over_dt = (dae.E.multiply(1.0 / cfg.dt)).tocsr()
 
-    if cfg.initial_state is not None:
-        y = np.asarray(cfg.initial_state, dtype=float).copy()
-        if y.shape[0] != dae.n:
-            raise ValueError("initial state has wrong length")
-    else:
-        y = consistent_zero_start(dae, cfg.t0)
+    # the state entries the probes read; ground (-1) reads the last column, which stays 0
+    entries = {i for p in probes.values() for i in (p.pos_index, p.neg_index, p.current_index)}
+    watched = sorted(entries - {-1})
+    column = {index: c for c, index in enumerate([*watched, -1])}
+    watched = np.asarray(watched, dtype=np.intp)
+    recorded = np.zeros((n_steps + 1, len(watched) + 1))  # row 0 is the zero start
 
-    currents = {name: np.empty(n_steps + 1) for name in probe_names}
-    voltages = {name: np.empty(n_steps + 1) for name in probe_names}
-    snapshots = [] if cfg.snapshot_stride else None
-
-    def record(k, state, prev_state):
-        for name in probe_names:
-            i, v = _probe_values(dae.probes[name], state, prev_state, cfg.dt, times[k])
-            currents[name][k] = i
-            voltages[name][k] = v
-        if snapshots is not None and k % cfg.snapshot_stride == 0:
-            snapshots.append(state.copy())
-
-    record(0, y, y)
+    y = consistent_zero_start(dae, cfg.t0)
     diverged_at = None
-    last = n_steps
     for k in range(1, n_steps + 1):
-        rhs = e_over_dt @ y + dae.source(times[k])
-        y_next = lhs.solve(rhs)
-        record(k, y_next, y)
-        if not np.all(np.isfinite(y_next)) or float(np.max(np.abs(y_next))) > BLOWUP_BOUND:
+        y = lhs.solve(e_over_dt @ y + dae.source(times[k]))
+        recorded[k, :-1] = y[watched]
+        if not np.max(np.abs(y)) <= BLOWUP_BOUND:
             diverged_at = k
-            last = k
             break
-        y = y_next
 
-    keep = last + 1
-    return TimeSeries(
-        times=times[:keep],
-        currents={name: arr[:keep] for name, arr in currents.items()},
-        voltages={name: arr[:keep] for name, arr in voltages.items()},
-        diverged_at=diverged_at,
-        states=np.asarray(snapshots) if snapshots else None,
-    )
+    keep = n_steps + 1 if diverged_at is None else diverged_at + 1
+    times, recorded = times[:keep], recorded[:keep]
+    currents, voltages = {}, {}
+    for name, p in probes.items():
+        v = recorded[:, column[p.pos_index]] - recorded[:, column[p.neg_index]]
+        if p.kind == "R":
+            currents[name] = v / p.value
+        elif p.kind == "C":
+            currents[name] = p.value * np.diff(v, prepend=v[0]) / cfg.dt
+        elif p.kind == "I":
+            currents[name] = p.value(times)
+        else:  # L, V, FW carry their current as an unknown
+            currents[name] = recorded[:, column[p.current_index]]
+        voltages[name] = v
+    return TimeSeries(times=times, currents=currents, voltages=voltages, diverged_at=diverged_at)

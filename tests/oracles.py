@@ -7,8 +7,10 @@ import scipy.sparse as sp
 
 from foilfem.assembly import TWO_PI, _element_geometry, _quad_points
 from foilfem.circuit import _effective_kinds
-from foilfem.linalg import canonical_csr
+from foilfem.errors import SingularMatrixError, SingularSystemAtStepError
+from foilfem.linalg import canonical_csr, sparse_factorize
 from foilfem.mesh import Mesh, RegionTag, validate_mesh
+from foilfem.timestepper import BLOWUP_BOUND, TimeSeries, consistent_zero_start
 from foilfem.winding import distribution_coefficients, profile_for
 
 
@@ -221,3 +223,80 @@ def loop_refine_uniform(mesh):
                    np.asarray(tags, dtype=np.int32), boundary)
     validate_mesh(refined)
     return refined
+
+
+# --- loop form of the implicit-Euler stepper ------------------------------------------
+#
+# The stepper as it was before it recorded only the probed state entries and derived the
+# probe traces after the loop: a per-step, per-probe read of the full state, with an
+# optional initial state and optional full-state snapshots every ``snapshot_stride``
+# steps.  ``integrate`` must reproduce its times, traces and divergence step bit for bit.
+
+
+def _loop_probe_values(probe, y, y_prev, dt, t):
+    phi_p = y[probe.pos_index] if probe.pos_index >= 0 else 0.0
+    phi_n = y[probe.neg_index] if probe.neg_index >= 0 else 0.0
+    v = phi_p - phi_n
+    if probe.kind == "R":
+        return v / probe.value, v
+    if probe.kind == "C":
+        vp_p = y_prev[probe.pos_index] if probe.pos_index >= 0 else 0.0
+        vp_n = y_prev[probe.neg_index] if probe.neg_index >= 0 else 0.0
+        return probe.value * (v - (vp_p - vp_n)) / dt, v
+    if probe.kind == "I":
+        return float(probe.value(t)), v
+    return y[probe.current_index], v  # L, V, FW carry their current as an unknown
+
+
+def loop_integrate(dae, cfg, probe_names=None, initial_state=None, snapshot_stride=0):
+    """Return the ``TimeSeries`` and the stacked snapshots (None when not taken)."""
+    n_steps = cfg.n_steps
+    times = cfg.t0 + cfg.dt * np.arange(n_steps + 1)
+    if probe_names is None:
+        probe_names = list(dae.probes)
+    try:
+        lhs = sparse_factorize(dae.E.multiply(1.0 / cfg.dt) + dae.A)
+    except SingularMatrixError as exc:
+        raise SingularSystemAtStepError(f"iteration matrix singular: {exc}") from exc
+    e_over_dt = (dae.E.multiply(1.0 / cfg.dt)).tocsr()
+
+    if initial_state is not None:
+        y = np.asarray(initial_state, dtype=float).copy()
+        if y.shape[0] != dae.n:
+            raise ValueError("initial state has wrong length")
+    else:
+        y = consistent_zero_start(dae, cfg.t0)
+
+    currents = {name: np.empty(n_steps + 1) for name in probe_names}
+    voltages = {name: np.empty(n_steps + 1) for name in probe_names}
+    snapshots = [] if snapshot_stride else None
+
+    def record(k, state, prev_state):
+        for name in probe_names:
+            i, v = _loop_probe_values(dae.probes[name], state, prev_state, cfg.dt, times[k])
+            currents[name][k] = i
+            voltages[name][k] = v
+        if snapshots is not None and k % snapshot_stride == 0:
+            snapshots.append(state.copy())
+
+    record(0, y, y)
+    diverged_at = None
+    last = n_steps
+    for k in range(1, n_steps + 1):
+        rhs = e_over_dt @ y + dae.source(times[k])
+        y_next = lhs.solve(rhs)
+        record(k, y_next, y)
+        if not np.all(np.isfinite(y_next)) or float(np.max(np.abs(y_next))) > BLOWUP_BOUND:
+            diverged_at = k
+            last = k
+            break
+        y = y_next
+
+    keep = last + 1
+    series = TimeSeries(
+        times=times[:keep],
+        currents={name: arr[:keep] for name, arr in currents.items()},
+        voltages={name: arr[:keep] for name, arr in voltages.items()},
+        diverged_at=diverged_at,
+    )
+    return series, (np.asarray(snapshots) if snapshots else None)

@@ -135,8 +135,11 @@ class TestProgramErrors:
             (["mesh", "gen", "--mesh-level", "-1"], "mesh_level must be at least 0, got -1"),
             (["classify", "--config", "{tmp}/absent.cfg"], "No such file or directory"),
             (["mesh", "info", "--mesh", "{tmp}/absent.txt"], "No such file or directory"),
+            (["mesh", "info"], "mesh info needs --mesh <file>"),
+            (["mesh", "refine"], "mesh refine needs --mesh <file>"),
         ],
-        ids=["dt-zero", "mesh-level-negative", "config-absent", "mesh-absent"],
+        ids=["dt-zero", "mesh-level-negative", "config-absent", "mesh-absent", "mesh-info-no-mesh",
+             "mesh-refine-no-mesh"],
     )
     def test_one_line_on_stderr_and_status_1(self, argv, message, tmp_path, capsys):
         argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
@@ -146,6 +149,15 @@ class TestProgramErrors:
         assert captured.err.startswith("foilfem: error: ") and captured.err.count("\n") == 1
         assert message in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "demo-inductor"])
+    def test_step_guard_is_one_line(self, command, tmp_path, capsys):
+        assert main([command, "--dt", "1e-12", "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "foilfem: error: step count 22000000000 exceeds the 10000000 guard\n"
+        )
 
 
 class TestReportCommands:
