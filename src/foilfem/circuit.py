@@ -13,7 +13,10 @@ case-insensitive)::
 Node "0" is ground.  The stamped system is ``E dy/dt + A y = s(t)`` with the
 unknown vector holding node potentials first, then per-branch extras in
 branch order (inductor and source currents; field DoFs, voltage coefficients
-and terminal current for embedded field elements).
+and terminal current for embedded field elements).  :func:`mna_stamp` numbers
+and stamps each branch in one pass; it drops entries in a ground row or column
+and entries of value zero, and sums entries that share a position in branch
+order.
 
 Differential-index prediction is topological: the system is index 2 exactly
 when the circuit contains a cutset of inductance-like branches and current
@@ -112,9 +115,12 @@ _WAVEFORM_ARITY = {"SIN": 2, "PSIN": 4, "DC": 1}
 
 def _parse_float(token: str, line_no: int, col: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError as exc:
         raise ParseError(f"expected a number, got {token!r}", line=line_no, column=col) from exc
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {token!r}", line=line_no, column=col)
+    return value
 
 
 def _parse_waveform(tokens, line_no, cols):
@@ -379,181 +385,132 @@ class DAESystem:
     E: sp.csr_matrix
     A: sp.csr_matrix
     source_rows: tuple  # (row, waveform, sign)
-    n: int
     layout: dict
     probes: dict
 
     def source(self, t: float) -> np.ndarray:
-        s = np.zeros(self.n)
+        s = np.zeros(self.E.shape[0])
         for row, waveform, sign in self.source_rows:
             s[row] += sign * waveform(t)
         return s
 
 
-def mna_stamp(netlist: Netlist, field_systems: Mapping | None = None) -> DAESystem:
-    """Stamp the netlist into ``E dy/dt + A y = s(t)``.
+def _stamp(parts: list, rows, cols, vals) -> None:
+    """Append the entries ``(rows, cols, vals)``, broadcast together, to ``parts``.
 
-    ``field_systems`` maps field-element file paths to in-memory systems;
-    missing paths are loaded from disk.  Sign conventions: branch current
-    flows from the positive to the negative node through the element, node
-    equations sum currents leaving the node, current sources inject into the
-    positive node.
+    An entry in a ground row or column (index -1) or with value zero is dropped.
+    """
+    rows, cols, vals = np.broadcast_arrays(
+        np.asarray(rows, dtype=np.intp),
+        np.asarray(cols, dtype=np.intp),
+        np.asarray(vals, dtype=float),
+    )
+    keep = (rows >= 0) & (cols >= 0) & (vals != 0.0)
+    parts.append((rows[keep], cols[keep], vals[keep]))
+
+
+def _block(parts: list, matrix, row0: int, col0: int, scale: float = 1.0) -> None:
+    """Stamp ``scale * matrix`` with its entry (0, 0) at ``(row0, col0)``."""
+    coo = sp.coo_matrix(matrix)
+    _stamp(parts, coo.row + row0, coo.col + col0, scale * coo.data)
+
+
+def _csr(parts: list, n: int) -> sp.csr_matrix:
+    """Sum the stamped entries into an ``n`` x ``n`` matrix, duplicates in stamp order."""
+    none = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+    rows, cols, vals = (np.concatenate(column) for column in zip(none, *parts))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def mna_stamp(netlist: Netlist, field_systems: Mapping | None = None) -> DAESystem:
+    """Stamp the netlist into ``E dy/dt + A y = s(t)`` in one pass over the branches.
+
+    Each branch numbers its own unknowns as it is stamped, after the node
+    potentials and the unknowns of the branches before it.  Every entry goes
+    through :func:`_stamp`, which drops entries in a ground row or column and
+    entries of value zero; entries that land on one position are summed in
+    branch order.  ``field_systems`` maps field-element file paths to
+    in-memory systems; missing paths are loaded from disk.  Sign conventions:
+    branch current flows from the positive to the negative node through the
+    element, node equations sum currents leaving the node, current sources
+    inject into the positive node.
     """
     node_index = {n: i for i, n in enumerate(netlist.nodes)}
-    n_nodes = len(netlist.nodes)
-
-    def pot(node):
-        return node_index[node] if node != "0" else -1
-
-    next_index = n_nodes
-    layout: dict = {"potentials": dict(node_index)}
+    n_total = len(node_index)
     extras: dict = {}
-    for b in netlist.branches:
-        if b.kind in ("L", "V"):
-            extras[b.name] = {"current": next_index}
-            next_index += 1
-        elif b.kind == "FW":
-            ref = b.value
-            system = None
-            if field_systems is not None and ref.path in field_systems:
-                system = field_systems[ref.path]
-            else:
-                system = load_system(ref.path)
-            if ref.mode == "SOLID" and isinstance(system, AssembledFoilSystem):
-                system = solid_from_foil(system)
-            n_dofs = system.n_dofs
-            if isinstance(system, SolidSystem):
-                extras[b.name] = {
-                    "system": system,
-                    "a": slice(next_index, next_index + n_dofs),
-                    "current": next_index + n_dofs,
-                }
-                next_index += n_dofs + 1
-            else:
-                n_p = system.n_basis
-                extras[b.name] = {
-                    "system": system,
-                    "a": slice(next_index, next_index + n_dofs),
-                    "u": slice(next_index + n_dofs, next_index + n_dofs + n_p),
-                    "current": next_index + n_dofs + n_p,
-                }
-                next_index += n_dofs + n_p + 1
-    n_total = next_index
-    layout["extras"] = {
-        name: {k: v for k, v in info.items() if k != "system"} for name, info in extras.items()
-    }
-
-    e_rows, e_cols, e_vals = [], [], []
-    a_rows, a_cols, a_vals = [], [], []
+    e_parts, a_parts = [], []
     source_rows = []
     probes = {}
-
-    def add(bucket, row, col, val):
-        if row < 0 or col < 0 or val == 0.0:
-            return
-        rows, cols, vals = bucket
-        rows.append(row)
-        cols.append(col)
-        vals.append(val)
-
-    E_bucket = (e_rows, e_cols, e_vals)
-    A_bucket = (a_rows, a_cols, a_vals)
-
-    def add_block(bucket, matrix, row_offset, col_offset, scale=1.0):
-        coo = sp.coo_matrix(matrix)
-        rows, cols, vals = bucket
-        rows.extend((coo.row + row_offset).tolist())
-        cols.extend((coo.col + col_offset).tolist())
-        vals.extend((scale * coo.data).tolist())
-
     for b in netlist.branches:
-        p, q = pot(b.node_pos), pot(b.node_neg)
-        if b.kind == "R":
-            conductance = 1.0 / b.value
-            add(A_bucket, p, p, conductance)
-            add(A_bucket, q, q, conductance)
-            add(A_bucket, p, q, -conductance)
-            add(A_bucket, q, p, -conductance)
-            probes[b.name] = Probe(kind="R", pos_index=p, neg_index=q, value=b.value)
-        elif b.kind == "C":
-            add(E_bucket, p, p, b.value)
-            add(E_bucket, q, q, b.value)
-            add(E_bucket, p, q, -b.value)
-            add(E_bucket, q, p, -b.value)
-            probes[b.name] = Probe(kind="C", pos_index=p, neg_index=q, value=b.value)
-        elif b.kind == "L":
-            j = extras[b.name]["current"]
-            add(A_bucket, p, j, 1.0)
-            add(A_bucket, q, j, -1.0)
-            add(E_bucket, j, j, b.value)
-            add(A_bucket, j, p, -1.0)
-            add(A_bucket, j, q, 1.0)
-            probes[b.name] = Probe(kind="L", pos_index=p, neg_index=q, current_index=j, value=b.value)
-        elif b.kind == "V":
-            j = extras[b.name]["current"]
-            add(A_bucket, p, j, 1.0)
-            add(A_bucket, q, j, -1.0)
-            add(A_bucket, j, p, 1.0)
-            add(A_bucket, j, q, -1.0)
-            source_rows.append((j, b.value, 1.0))
-            probes[b.name] = Probe(kind="V", pos_index=p, neg_index=q, current_index=j, value=b.value)
-        elif b.kind == "I":
-            if p >= 0:
-                source_rows.append((p, b.value, 1.0))
-            if q >= 0:
-                source_rows.append((q, b.value, -1.0))
+        p, q = node_index.get(b.node_pos, -1), node_index.get(b.node_neg, -1)
+        if b.kind in ("R", "C"):
+            # the branch admittance couples p and q: conductance into A, capacitance into E
+            g, parts = (1.0 / b.value, a_parts) if b.kind == "R" else (b.value, e_parts)
+            _stamp(parts, [p, q, p, q], [p, q, q, p], [g, g, -g, -g])
+            probes[b.name] = Probe(kind=b.kind, pos_index=p, neg_index=q, value=b.value)
+            continue
+        if b.kind == "I":
+            source_rows += [(row, b.value, sign) for row, sign in ((p, 1.0), (q, -1.0)) if row >= 0]
             probes[b.name] = Probe(kind="I", pos_index=p, neg_index=q, value=b.value)
-        else:  # FW
-            info = extras[b.name]
-            system = info["system"]
-            a_sl = info["a"]
-            j = info["current"]
-            add(A_bucket, p, j, 1.0)
-            add(A_bucket, q, j, -1.0)
+            continue
+
+        # L, V and FW carry their current as an unknown j, after a field element's a and u
+        info = {}
+        if b.kind == "FW":
+            ref = b.value
+            in_memory = field_systems is not None and ref.path in field_systems
+            system = field_systems[ref.path] if in_memory else load_system(ref.path)
+            if ref.mode == "SOLID" and isinstance(system, AssembledFoilSystem):
+                system = solid_from_foil(system)
+            a0 = n_total
+            n_total += system.n_dofs
+            info["a"] = slice(a0, n_total)
+            if not isinstance(system, SolidSystem):
+                u0 = n_total
+                n_total += system.n_basis
+                info["u"] = slice(u0, n_total)
+        j = info["current"] = n_total
+        n_total += 1
+        extras[b.name] = info
+        _stamp(a_parts, [p, q], j, [1.0, -1.0])  # j leaves node p and enters node q
+        if b.kind == "L":
+            # L dj/dt - (phi_p - phi_q) = 0
+            _stamp(e_parts, j, j, b.value)
+            _stamp(a_parts, j, [p, q], [-1.0, 1.0])
+        elif b.kind == "V":
+            # phi_p - phi_q = v(t)
+            _stamp(a_parts, j, [p, q], [1.0, -1.0])
+            source_rows.append((j, b.value, 1.0))
+        else:
+            _block(e_parts, system.M, a0, a0)
+            _block(a_parts, system.K, a0, a0)
             if isinstance(system, SolidSystem):
                 # field rows: M da/dt + K a - x_sol (phi_p - phi_q) = 0
-                add_block(E_bucket, system.M, a_sl.start, a_sl.start)
-                add_block(A_bucket, system.K, a_sl.start, a_sl.start)
                 x_col = system.x_sol[:, None]
-                if p >= 0:
-                    add_block(A_bucket, x_col, a_sl.start, p, scale=-1.0)
-                if q >= 0:
-                    add_block(A_bucket, x_col, a_sl.start, q)
-                # terminal row: -x_sol^T da/dt + G_sol (phi_p - phi_q) - i = 0
-                add_block(E_bucket, x_col.T, j, a_sl.start, scale=-1.0)
-                add(A_bucket, j, p, system.G_sol)
-                add(A_bucket, j, q, -system.G_sol)
-                add(A_bucket, j, j, -1.0)
+                _block(a_parts, x_col, a0, p, scale=-1.0)
+                _block(a_parts, x_col, a0, q)
+                # terminal row: -x_sol^T da/dt + G_sol (phi_p - phi_q) - j = 0
+                _block(e_parts, x_col.T, j, a0, scale=-1.0)
+                _stamp(a_parts, j, [p, q, j], [system.G_sol, -system.G_sol, -1.0])
             else:
-                ref = b.value
-                g_mat = system.conductance(ref.mode)
-                u_sl = info["u"]
                 # a rows: M da/dt + K a - X u = 0
-                add_block(E_bucket, system.M, a_sl.start, a_sl.start)
-                add_block(A_bucket, system.K, a_sl.start, a_sl.start)
-                add_block(A_bucket, system.X, a_sl.start, u_sl.start, scale=-1.0)
-                # u rows: -X^T da/dt + G u - c i = 0
-                add_block(E_bucket, system.X.T, u_sl.start, a_sl.start, scale=-1.0)
-                add_block(A_bucket, g_mat, u_sl.start, u_sl.start)
-                for idx, val in enumerate(system.c):
-                    add(A_bucket, u_sl.start + idx, j, -val)
+                _block(a_parts, system.X, a0, u0, scale=-1.0)
+                # u rows: -X^T da/dt + G u - c j = 0
+                _block(e_parts, system.X.T, u0, a0, scale=-1.0)
+                _block(a_parts, system.conductance(ref.mode), u0, u0)
+                u_rows = np.arange(u0, j)
+                _stamp(a_parts, u_rows, j, -system.c)
                 # terminal row: -c^T u + (phi_p - phi_q) = 0
-                for idx, val in enumerate(system.c):
-                    add(A_bucket, j, u_sl.start + idx, -val)
-                add(A_bucket, j, p, 1.0)
-                add(A_bucket, j, q, -1.0)
-            probes[b.name] = Probe(kind="FW", pos_index=p, neg_index=q, current_index=j)
+                _stamp(a_parts, j, u_rows, -system.c)
+                _stamp(a_parts, j, [p, q], [1.0, -1.0])
+        value = None if b.kind == "FW" else b.value
+        probes[b.name] = Probe(kind=b.kind, pos_index=p, neg_index=q, current_index=j, value=value)
 
-    e_mat = sp.coo_matrix((e_vals, (e_rows, e_cols)), shape=(n_total, n_total)).tocsr()
-    a_mat = sp.coo_matrix((a_vals, (a_rows, a_cols)), shape=(n_total, n_total)).tocsr()
-    e_mat.sum_duplicates()
-    a_mat.sum_duplicates()
     return DAESystem(
-        E=e_mat,
-        A=a_mat,
+        E=_csr(e_parts, n_total),
+        A=_csr(a_parts, n_total),
         source_rows=tuple(source_rows),
-        n=n_total,
-        layout=layout,
+        layout={"potentials": node_index, "extras": extras},
         probes=probes,
     )
 

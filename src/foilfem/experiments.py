@@ -92,6 +92,8 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not value > 0.0:  # also rejects NaN
                 raise ValidationError(f"{key} must be positive, got {value!r}", key=key)
+            if not math.isfinite(value):
+                raise ValidationError(f"{key} must be finite, got {value!r}", key=key)
 
     def to_text(self) -> str:
         lines = []

@@ -46,6 +46,10 @@ class StepperConfig:
         steps = (self.t_end - self.t0) / self.dt
         if not steps <= MAX_STEPS:
             raise ValidationError(f"step count {steps:.0f} exceeds the {MAX_STEPS} guard", key="dt")
+        if self.n_steps < 1:
+            raise ValidationError(
+                f"dt {self.dt!r} leaves no step in the duration {self.t_end - self.t0!r}", key="dt"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -84,7 +88,7 @@ def consistent_zero_start(dae: DAESystem, t0: float) -> np.ndarray:
         raise InconsistentInitialStateError(
             f"zero state violates algebraic rows at t0 (residual {np.max(np.abs(residual)):.3e})"
         )
-    return np.zeros(dae.n)
+    return np.zeros(dae.E.shape[0])
 
 
 def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSeries:
@@ -99,11 +103,11 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
     if probe_names is None:
         probe_names = list(dae.probes)
     probes = {name: dae.probes[name] for name in probe_names}
+    e_over_dt = dae.E.multiply(1.0 / cfg.dt).tocsr()
     try:
-        lhs = sparse_factorize(dae.E.multiply(1.0 / cfg.dt) + dae.A)
+        lhs = sparse_factorize(e_over_dt + dae.A)
     except SingularMatrixError as exc:
         raise SingularSystemAtStepError(f"iteration matrix singular: {exc}") from exc
-    e_over_dt = (dae.E.multiply(1.0 / cfg.dt)).tocsr()
 
     # the state entries the probes read; ground (-1) reads the last column, which stays 0
     entries = {i for p in probes.values() for i in (p.pos_index, p.neg_index, p.current_index)}

@@ -1,17 +1,25 @@
 """Independent brute-force and loop-form oracles shared between test modules."""
 
 from itertools import combinations
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
 from foilfem.assembly import TWO_PI, _element_geometry, _quad_points
-from foilfem.circuit import _effective_kinds
+from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
 from foilfem.errors import SingularMatrixError, SingularSystemAtStepError
 from foilfem.linalg import canonical_csr, sparse_factorize
 from foilfem.mesh import Mesh, RegionTag, validate_mesh
 from foilfem.timestepper import BLOWUP_BOUND, TimeSeries, consistent_zero_start
-from foilfem.winding import distribution_coefficients, profile_for
+from foilfem.winding import (
+    AssembledFoilSystem,
+    SolidSystem,
+    distribution_coefficients,
+    load_system,
+    profile_for,
+    solid_from_foil,
+)
 
 
 def brute_force_li_bonds(net, field_classes=None):
@@ -262,7 +270,7 @@ def loop_integrate(dae, cfg, probe_names=None, initial_state=None, snapshot_stri
 
     if initial_state is not None:
         y = np.asarray(initial_state, dtype=float).copy()
-        if y.shape[0] != dae.n:
+        if y.shape[0] != dae.E.shape[0]:
             raise ValueError("initial state has wrong length")
     else:
         y = consistent_zero_start(dae, cfg.t0)
@@ -300,3 +308,176 @@ def loop_integrate(dae, cfg, probe_names=None, initial_state=None, snapshot_stri
         diverged_at=diverged_at,
     )
     return series, (np.asarray(snapshots) if snapshots else None)
+
+
+# --- loop form of the MNA stamp ----------------------------------------------------------
+#
+# The stamp as it was before it numbered and stamped each branch in one pass: a first pass
+# numbers the unknowns, a second appends each entry to Python lists through a per-entry
+# guard.  ``mna_stamp`` must reproduce its E, A, source rows, layout and probes bit for bit.
+
+def loop_stamp(netlist: Netlist, field_systems: Mapping | None = None) -> DAESystem:
+    """Stamp the netlist into ``E dy/dt + A y = s(t)``.
+
+    ``field_systems`` maps field-element file paths to in-memory systems;
+    missing paths are loaded from disk.  Sign conventions: branch current
+    flows from the positive to the negative node through the element, node
+    equations sum currents leaving the node, current sources inject into the
+    positive node.
+    """
+    node_index = {n: i for i, n in enumerate(netlist.nodes)}
+    n_nodes = len(netlist.nodes)
+
+    def pot(node):
+        return node_index[node] if node != "0" else -1
+
+    next_index = n_nodes
+    layout: dict = {"potentials": dict(node_index)}
+    extras: dict = {}
+    for b in netlist.branches:
+        if b.kind in ("L", "V"):
+            extras[b.name] = {"current": next_index}
+            next_index += 1
+        elif b.kind == "FW":
+            ref = b.value
+            system = None
+            if field_systems is not None and ref.path in field_systems:
+                system = field_systems[ref.path]
+            else:
+                system = load_system(ref.path)
+            if ref.mode == "SOLID" and isinstance(system, AssembledFoilSystem):
+                system = solid_from_foil(system)
+            n_dofs = system.n_dofs
+            if isinstance(system, SolidSystem):
+                extras[b.name] = {
+                    "system": system,
+                    "a": slice(next_index, next_index + n_dofs),
+                    "current": next_index + n_dofs,
+                }
+                next_index += n_dofs + 1
+            else:
+                n_p = system.n_basis
+                extras[b.name] = {
+                    "system": system,
+                    "a": slice(next_index, next_index + n_dofs),
+                    "u": slice(next_index + n_dofs, next_index + n_dofs + n_p),
+                    "current": next_index + n_dofs + n_p,
+                }
+                next_index += n_dofs + n_p + 1
+    n_total = next_index
+    layout["extras"] = {
+        name: {k: v for k, v in info.items() if k != "system"} for name, info in extras.items()
+    }
+
+    e_rows, e_cols, e_vals = [], [], []
+    a_rows, a_cols, a_vals = [], [], []
+    source_rows = []
+    probes = {}
+
+    def add(bucket, row, col, val):
+        if row < 0 or col < 0 or val == 0.0:
+            return
+        rows, cols, vals = bucket
+        rows.append(row)
+        cols.append(col)
+        vals.append(val)
+
+    E_bucket = (e_rows, e_cols, e_vals)
+    A_bucket = (a_rows, a_cols, a_vals)
+
+    def add_block(bucket, matrix, row_offset, col_offset, scale=1.0):
+        coo = sp.coo_matrix(matrix)
+        rows, cols, vals = bucket
+        rows.extend((coo.row + row_offset).tolist())
+        cols.extend((coo.col + col_offset).tolist())
+        vals.extend((scale * coo.data).tolist())
+
+    for b in netlist.branches:
+        p, q = pot(b.node_pos), pot(b.node_neg)
+        if b.kind == "R":
+            conductance = 1.0 / b.value
+            add(A_bucket, p, p, conductance)
+            add(A_bucket, q, q, conductance)
+            add(A_bucket, p, q, -conductance)
+            add(A_bucket, q, p, -conductance)
+            probes[b.name] = Probe(kind="R", pos_index=p, neg_index=q, value=b.value)
+        elif b.kind == "C":
+            add(E_bucket, p, p, b.value)
+            add(E_bucket, q, q, b.value)
+            add(E_bucket, p, q, -b.value)
+            add(E_bucket, q, p, -b.value)
+            probes[b.name] = Probe(kind="C", pos_index=p, neg_index=q, value=b.value)
+        elif b.kind == "L":
+            j = extras[b.name]["current"]
+            add(A_bucket, p, j, 1.0)
+            add(A_bucket, q, j, -1.0)
+            add(E_bucket, j, j, b.value)
+            add(A_bucket, j, p, -1.0)
+            add(A_bucket, j, q, 1.0)
+            probes[b.name] = Probe(kind="L", pos_index=p, neg_index=q, current_index=j, value=b.value)
+        elif b.kind == "V":
+            j = extras[b.name]["current"]
+            add(A_bucket, p, j, 1.0)
+            add(A_bucket, q, j, -1.0)
+            add(A_bucket, j, p, 1.0)
+            add(A_bucket, j, q, -1.0)
+            source_rows.append((j, b.value, 1.0))
+            probes[b.name] = Probe(kind="V", pos_index=p, neg_index=q, current_index=j, value=b.value)
+        elif b.kind == "I":
+            if p >= 0:
+                source_rows.append((p, b.value, 1.0))
+            if q >= 0:
+                source_rows.append((q, b.value, -1.0))
+            probes[b.name] = Probe(kind="I", pos_index=p, neg_index=q, value=b.value)
+        else:  # FW
+            info = extras[b.name]
+            system = info["system"]
+            a_sl = info["a"]
+            j = info["current"]
+            add(A_bucket, p, j, 1.0)
+            add(A_bucket, q, j, -1.0)
+            if isinstance(system, SolidSystem):
+                # field rows: M da/dt + K a - x_sol (phi_p - phi_q) = 0
+                add_block(E_bucket, system.M, a_sl.start, a_sl.start)
+                add_block(A_bucket, system.K, a_sl.start, a_sl.start)
+                x_col = system.x_sol[:, None]
+                if p >= 0:
+                    add_block(A_bucket, x_col, a_sl.start, p, scale=-1.0)
+                if q >= 0:
+                    add_block(A_bucket, x_col, a_sl.start, q)
+                # terminal row: -x_sol^T da/dt + G_sol (phi_p - phi_q) - i = 0
+                add_block(E_bucket, x_col.T, j, a_sl.start, scale=-1.0)
+                add(A_bucket, j, p, system.G_sol)
+                add(A_bucket, j, q, -system.G_sol)
+                add(A_bucket, j, j, -1.0)
+            else:
+                ref = b.value
+                g_mat = system.conductance(ref.mode)
+                u_sl = info["u"]
+                # a rows: M da/dt + K a - X u = 0
+                add_block(E_bucket, system.M, a_sl.start, a_sl.start)
+                add_block(A_bucket, system.K, a_sl.start, a_sl.start)
+                add_block(A_bucket, system.X, a_sl.start, u_sl.start, scale=-1.0)
+                # u rows: -X^T da/dt + G u - c i = 0
+                add_block(E_bucket, system.X.T, u_sl.start, a_sl.start, scale=-1.0)
+                add_block(A_bucket, g_mat, u_sl.start, u_sl.start)
+                for idx, val in enumerate(system.c):
+                    add(A_bucket, u_sl.start + idx, j, -val)
+                # terminal row: -c^T u + (phi_p - phi_q) = 0
+                for idx, val in enumerate(system.c):
+                    add(A_bucket, j, u_sl.start + idx, -val)
+                add(A_bucket, j, p, 1.0)
+                add(A_bucket, j, q, -1.0)
+            probes[b.name] = Probe(kind="FW", pos_index=p, neg_index=q, current_index=j)
+
+    e_mat = sp.coo_matrix((e_vals, (e_rows, e_cols)), shape=(n_total, n_total)).tocsr()
+    a_mat = sp.coo_matrix((a_vals, (a_rows, a_cols)), shape=(n_total, n_total)).tocsr()
+    e_mat.sum_duplicates()
+    a_mat.sum_duplicates()
+    return DAESystem(
+        E=e_mat,
+        A=a_mat,
+        source_rows=tuple(source_rows),
+        layout=layout,
+        probes=probes,
+    )

@@ -1,14 +1,17 @@
 """Netlist parsing, topology analysis, MNA stamping and inductor analytics."""
 
 import math
+from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import brute_force_li_bonds
+from oracles import brute_force_li_bonds, loop_stamp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foilfem.assembly import FieldDiscretization
 from foilfem.circuit import (
     FieldElementRef,
     Netlist,
@@ -22,8 +25,9 @@ from foilfem.circuit import (
 )
 from foilfem.dae_analysis import ElementKind
 from foilfem.errors import ParseError, UnclassifiedElementError, ValidationError
+from foilfem.experiments import ExperimentConfig, build_mesh, build_system, build_winding_spec
 from foilfem.linalg import canonical_csr
-from foilfem.winding import AssembledFoilSystem
+from foilfem.winding import AssembledFoilSystem, build_solid_system, device_materials, save_system
 
 INDUCTIVE = {"FW1": ElementKind.INDUCTANCE_LIKE}
 RESISTIVE = {"FW1": ElementKind.RESISTANCE_LIKE}
@@ -71,6 +75,22 @@ class TestParser:
             parse_netlist("R1 1 0 abc")
         assert err.value.line == 1
         assert err.value.column == 8
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("R1 1 0 nan", 1, 8),
+            ("V1 1 0 SIN 1 50\nL1 1 0 inf", 2, 8),
+            ("V1 1 0 SIN 1 50\nC1 1 0 -inf", 2, 8),
+            ("I1 1 0 PSIN 1 50 1e-3 NaN\nR1 1 0 1", 1, 23),
+            ("V1 1 0 SIN 1 1e999", 1, 14),
+        ],
+        ids=["R-nan", "L-inf", "C-minus-inf", "psin-feps-nan", "sin-frequency-overflow"],
+    )
+    def test_non_finite_number_is_located(self, text, line, column):
+        with pytest.raises(ParseError, match="expected a finite number") as err:
+            parse_netlist(text)
+        assert (err.value.line, err.value.column) == (line, column)
 
     def test_missing_ground_rejected(self):
         with pytest.raises(ValidationError):
@@ -233,7 +253,7 @@ class TestMnaStamp:
         net = parse_netlist("I1 1 0 SIN 1 50\nFW1 1 0 FILE mem MODE Ge")
         dae = mna_stamp(net, field_systems={"mem": sys})
         # one node potential + (n_dofs + n_basis + 1) field extras
-        assert dae.n == 1 + (1 + 1 + 1)
+        assert dae.E.shape[0] == 1 + (1 + 1 + 1)
         info = dae.layout["extras"]["FW1"]
         assert info["a"] == slice(1, 2)
         assert info["u"] == slice(2, 3)
@@ -243,7 +263,142 @@ class TestMnaStamp:
         sys = toy_field_system()
         net = parse_netlist("V1 1 0 SIN 1 50\nFW1 1 0 FILE mem MODE SOLID")
         dae = mna_stamp(net, field_systems={"mem": sys})
-        assert dae.n == 1 + 1 + (1 + 1)  # node, source current, field dof + terminal current
+        assert dae.E.shape[0] == 1 + 1 + (1 + 1)  # node, source current, field dof + terminal current
+
+
+@cache
+def device_system(level, basis_family):
+    cfg = ExperimentConfig(basis_family=basis_family)
+    return build_system(cfg, build_mesh(cfg, level))[0]
+
+
+@cache
+def device_solid_system():
+    cfg = ExperimentConfig()
+    mesh = build_mesh(cfg, 0)
+    materials = device_materials(build_winding_spec(cfg))
+    return build_solid_system(mesh, materials, FieldDiscretization.from_mesh(mesh))
+
+
+def random_lumped_netlist(seed):
+    """A connected netlist of 2-8 random lumped branches on up to 4 live nodes."""
+    rng = np.random.default_rng(seed)
+    while True:
+        n_nodes = int(rng.integers(2, 5))
+        lines = []
+        for k in range(int(rng.integers(2, 9))):
+            kind = "RLCVI"[int(rng.integers(0, 5))]
+            a, b = rng.choice(n_nodes + 1, size=2, replace=False)
+            value = float(rng.uniform(0.1, 10.0))
+            if kind in "VI":
+                spec = f"SIN {value!r} 50" if rng.integers(0, 2) else f"DC {value!r}"
+            else:
+                spec = repr(value * {"R": 1.0, "L": 1e-3, "C": 1e-6}[kind])
+            lines.append(f"{kind}{k} {a} {b} {spec}")
+        text = "\n".join(lines)
+        try:
+            parse_netlist(text)
+        except ValidationError:
+            continue  # disconnected or no ground; draw again
+        return text
+
+
+def field_from_disk(tmp):
+    """One field element read from a saved archive, one held in memory."""
+    path = tmp / "sys.npz"
+    save_system(path, device_system(0, "legendre"))
+    text = f"I1 1 0 SIN 1 50\nFW1 1 0 FILE {path} MODE Ge\nFW2 1 0 FILE <m> MODE G"
+    return text, {"<m>": device_system(0, "hat")}
+
+
+# each case maps a scratch directory to (netlist text, in-memory field systems)
+STAMP_CASES = {
+    # every lumped kind, ground on the negative terminal
+    "RLCVI-ground-neg": lambda tmp: (
+        "V1 1 0 SIN 1 50\nR1 1 2 2\nC1 2 3 1e-4\nL1 3 0 1e-3\nI1 2 0 DC 0.5", None
+    ),
+    # every lumped kind, ground on the positive terminal
+    "RLCVI-ground-pos": lambda tmp: (
+        "V1 0 1 SIN 1 50\nR1 0 1 5\nL1 0 2 1e-3\nC1 0 2 1e-6\nI1 0 2 SIN 2 60\nR2 1 2 3", None
+    ),
+    # a voltage source between two live nodes
+    "V-floating": lambda tmp: (
+        "R1 1 0 5\nV1 1 2 PSIN 1 50 1e-3 6.2832e10\nR2 2 0 3\nC1 1 2 1e-6", None
+    ),
+    # node 2 meets 5 resistors and 3 capacitors, and R3-R5 and C2-C3 share nodes 2 and 3,
+    # so diagonal and off-diagonal entries sum 3 or more terms
+    "RC-star": lambda tmp: (
+        "V1 1 0 SIN 1 50\nR1 1 2 3\nR2 2 0 7\nR3 2 3 0.1\nR4 3 2 0.3\nR5 2 3 11\n"
+        "C1 2 0 1e-6\nC2 3 2 3e-6\nC3 2 3 7e-7\nL1 3 0 1e-3",
+        None,
+    ),
+    **{
+        f"random-{seed}": (lambda tmp, seed=seed: (random_lumped_netlist(seed), None))
+        for seed in range(24)
+    },
+    # the foil element in each mode, at two mesh levels, with both bases (Legendre c has
+    # zeros) and with ground on either terminal or on neither
+    **{
+        f"FW-{mode}-level{level}-{basis}-{where}": (
+            lambda tmp, mode=mode, level=level, basis=basis, line=line: (
+                line.format(mode=mode), {"<mem>": device_system(level, basis)}
+            )
+        )
+        for mode, level, basis, (where, line) in product(
+            ("G", "Ge", "SOLID"),
+            (0, 2),
+            ("hat", "legendre"),
+            (
+                ("ground-neg", "I1 1 0 PSIN 1 50 1e-3 6.2832e10\nFW1 1 0 FILE <mem> MODE {mode}"),
+                ("ground-pos", "V1 1 0 SIN 1 50\nFW1 0 1 FILE <mem> MODE {mode}"),
+                ("floating", "V1 1 0 SIN 1 50\nFW1 1 2 FILE <mem> MODE {mode}\nR1 2 0 0.25"),
+            ),
+        )
+    },
+    # a solid-conductor system stamps as SOLID whatever mode the netlist names
+    **{
+        f"solid-system-mode-{mode}": (
+            lambda tmp, mode=mode: (
+                f"V1 1 0 SIN 1 50\nFW1 1 0 FILE <solid> MODE {mode}",
+                {"<solid>": device_solid_system()},
+            )
+        )
+        for mode in ("SOLID", "G")
+    },
+    "three-field-elements": lambda tmp: (
+        "V1 1 0 SIN 1 50\nFW1 1 2 FILE <hat> MODE Ge\nFW2 2 0 FILE <legendre> MODE G\n"
+        "FW3 0 2 FILE <solid> MODE SOLID\nC1 1 2 1e-9",
+        {
+            "<hat>": device_system(0, "hat"),
+            "<legendre>": device_system(0, "legendre"),
+            "<solid>": device_solid_system(),
+        },
+    ),
+    "field-from-disk": field_from_disk,
+}
+
+
+class TestStampOracle:
+    @pytest.mark.parametrize("case", list(STAMP_CASES))
+    def test_stamp_matches_the_loop_bit_for_bit(self, case, tmp_path):
+        text, field_systems = STAMP_CASES[case](tmp_path)
+        net = parse_netlist(text)
+        dae, expected = mna_stamp(net, field_systems), loop_stamp(net, field_systems)
+        for name in ("E", "A"):
+            got, want = getattr(dae, name), getattr(expected, name)
+            assert got.format == want.format == "csr" and got.shape == want.shape, name
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+        # repr tells a Python int from a numpy integer and pins the order of dict keys
+        for field in ("source_rows", "layout", "probes"):
+            assert repr(getattr(dae, field)) == repr(getattr(expected, field)), field
+
+    def test_corpus_covers_every_kind_and_mode(self, tmp_path):
+        nets = [parse_netlist(make(tmp_path)[0]) for make in STAMP_CASES.values()]
+        assert {b.kind for net in nets for b in net.branches} == {"R", "L", "C", "V", "I", "FW"}
+        modes = {b.value.mode for net in nets for b in net.branches if b.kind == "FW"}
+        assert modes == {"G", "Ge", "SOLID"}
 
 
 class TestWaveforms:

@@ -132,14 +132,17 @@ class TestProgramErrors:
         "argv, message",
         [
             (["simulate", "--dt", "0"], "dt must be positive, got 0.0"),
+            (["simulate", "--dt", "inf"], "dt must be finite, got inf"),
+            (["demo-inductor", "--dt", "inf"], "dt must be finite, got inf"),
+            (["simulate", "--duration", "inf"], "duration must be finite, got inf"),
             (["mesh", "gen", "--mesh-level", "-1"], "mesh_level must be at least 0, got -1"),
             (["classify", "--config", "{tmp}/absent.cfg"], "No such file or directory"),
             (["mesh", "info", "--mesh", "{tmp}/absent.txt"], "No such file or directory"),
             (["mesh", "info"], "mesh info needs --mesh <file>"),
             (["mesh", "refine"], "mesh refine needs --mesh <file>"),
         ],
-        ids=["dt-zero", "mesh-level-negative", "config-absent", "mesh-absent", "mesh-info-no-mesh",
-             "mesh-refine-no-mesh"],
+        ids=["dt-zero", "dt-inf", "demo-dt-inf", "duration-inf", "mesh-level-negative",
+             "config-absent", "mesh-absent", "mesh-info-no-mesh", "mesh-refine-no-mesh"],
     )
     def test_one_line_on_stderr_and_status_1(self, argv, message, tmp_path, capsys):
         argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
@@ -150,14 +153,21 @@ class TestProgramErrors:
         assert message in captured.err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "demo-inductor"])
-    def test_step_guard_is_one_line(self, command, tmp_path, capsys):
-        assert main([command, "--dt", "1e-12", "--out", str(tmp_path / "out")]) == 1
+    @pytest.mark.parametrize(
+        "command, dt, message",
+        [
+            ("simulate", "1e-12", "step count 22000000000 exceeds the 10000000 guard"),
+            ("demo-inductor", "1e-12", "step count 22000000000 exceeds the 10000000 guard"),
+            ("simulate", "1", "dt 1.0 leaves no step in the duration 0.022"),
+            ("demo-inductor", "1", "dt 1.0 leaves no step in the duration 0.022"),
+        ],
+        ids=["simulate", "demo-inductor", "simulate-no-step", "demo-inductor-no-step"],
+    )
+    def test_step_guard_is_one_line(self, command, dt, message, tmp_path, capsys):
+        assert main([command, "--dt", dt, "--out", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "foilfem: error: step count 22000000000 exceeds the 10000000 guard\n"
-        )
+        assert captured.err == f"foilfem: error: {message}\n"
 
 
 class TestReportCommands:

@@ -35,7 +35,6 @@ def scalar_system(rate):
         E=sp.csr_matrix(np.array([[1.0]])),
         A=sp.csr_matrix(np.array([[-rate]])),
         source_rows=((0, SourceWaveform(kind="dc", amplitude=1.0), 1.0),),
-        n=1,
         layout={},
         probes={"y": probe},
     )
@@ -190,8 +189,11 @@ class TestDivergenceHandling:
             (0.0, 0.1, "duration"),
             (math.nan, 0.1, "duration"),
             (math.inf, 0.1, "dt"),
+            (1.0, math.inf, "dt"),
+            (0.022, 1.0, "dt"),
         ],
-        ids=["dt-zero", "dt-nan", "duration-zero", "duration-nan", "duration-inf"],
+        ids=["dt-zero", "dt-nan", "duration-zero", "duration-nan", "duration-inf", "dt-inf",
+             "dt-leaves-no-step"],
     )
     def test_bad_time_grid_names_the_key(self, t_end, dt, key):
         with pytest.raises(ValidationError) as info:
@@ -201,7 +203,7 @@ class TestDivergenceHandling:
     def test_singular_iteration_matrix_is_named(self):
         zero = sp.csr_matrix((1, 1))
         probe = Probe(kind="L", pos_index=-1, neg_index=-1, current_index=0, value=1.0)
-        dae = DAESystem(E=zero, A=zero, source_rows=(), n=1, layout={}, probes={"y": probe})
+        dae = DAESystem(E=zero, A=zero, source_rows=(), layout={}, probes={"y": probe})
         with pytest.raises(SingularSystemAtStepError, match="iteration matrix singular"):
             integrate(dae, StepperConfig(t0=0.0, t_end=1.0, dt=0.1))
 
