@@ -22,9 +22,10 @@ the axis anyway).
 
 Assembly is batched over elements and bit-identical to a per-element loop
 (the reference forms are in ``tests/oracles.py``): element matrices come from
-elementwise arithmetic, each mass-like element matrix is one ``np.dot`` (gemv)
-of the element's quadrature weights with the hat products (a batched einsum or
-matmul reorders the quadrature sum and moves the last bits), and
+elementwise arithmetic, the mass-like element matrices are one stacked
+row-vector ``np.matmul`` of each element's quadrature weights with the hat
+products (the 2-D ``w @ hat_products`` is a gemm, which reorders the quadrature
+sum and moves the last bits; the stacked row-vector product does not), and
 :func:`_scatter` feeds one COO accumulation in element-major ``(e, a, b)``
 order, so duplicates are summed in a fixed order.  The hat products are bitwise
 symmetric, so K and M are exactly symmetric.
@@ -235,8 +236,7 @@ def _mass_like(mesh, materials, disc, tag, profiles) -> sp.csr_matrix:
     vals = np.empty((len(profiles), elements.size, 9))
     for k, profile in enumerate(profiles):
         w = w_eff if profile is None else w_eff * profile(r, z)
-        for e, w_e in enumerate(w):
-            np.dot(w_e, hat_products, out=vals[k, e])
+        vals[k] = np.matmul(w[..., None, :], hat_products)[:, 0]
     vals *= scale[:, None]
     return _scatter(disc.dof_index[mesh.triangles[elements]], vals, disc.n_dofs)
 

@@ -174,11 +174,11 @@ def parse_netlist(text: str) -> Netlist:
         if kind not in ("R", "L", "C", "V", "I", "FW"):
             raise ParseError(f"unknown element kind in {name!r}", line=line_no, column=cols[0])
         if name in names:
-            raise ValidationError(f"duplicate branch name {name!r}")
+            raise ValidationError(f"duplicate branch name {name!r}", line=line_no)
         names.add(name)
         np_, nn = tokens[1], tokens[2]
         if np_ == nn:
-            raise ValidationError(f"branch {name!r} connects a node to itself")
+            raise ValidationError(f"branch {name!r} connects a node to itself", line=line_no)
         note_node(np_)
         note_node(nn)
         rest, rest_cols = tokens[3:], cols[3:]
@@ -187,7 +187,7 @@ def parse_netlist(text: str) -> Netlist:
                 raise ParseError(f"{kind} branch takes exactly one value", line=line_no, column=cols[0])
             value = _parse_float(rest[0], line_no, rest_cols[0])
             if value <= 0.0:
-                raise ValidationError(f"branch {name!r} needs a positive value, got {value}")
+                raise ValidationError(f"branch {name!r} needs a positive value, got {value}", line=line_no)
         elif kind in ("V", "I"):
             value = _parse_waveform(rest, line_no, rest_cols)
         else:  # FW

@@ -14,7 +14,8 @@ Every subcommand takes ``--config <path>``, a flat ``key = value`` file, and
 ``--out``, the output directory.  Each declares only the behaviour flags it
 reads (``SUBCOMMAND_FLAGS``); explicit flags override file values.  A usage
 error exits with status 2, a rejected input or an unreadable or unwritable
-file with a one-line ``foilfem: error:`` message and status 1.
+file with a one-line ``foilfem: error:`` message and status 1.  ``fig4`` and
+``fig5`` print the report their study returns.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .experiments import (
     load_config,
     mesh_edge_length,
     noise_metric,
+    response,
     run_classify,
     run_fig4,
     run_fig5,
@@ -110,46 +112,39 @@ def cmd_mesh(args) -> int:
 
 def cmd_assemble(args) -> int:
     cfg = _config_from(args)
-    mesh = build_mesh(cfg)
-    system, spec, _ = build_system(cfg, mesh)
+    system = build_system(cfg, build_mesh(cfg))[0]
     out = _out_dir(args)
     path = out / f"system_level{cfg.mesh_level}_{cfg.basis_family}.npz"
     save_system(path, system)
     print(f"wrote {path} (n_dofs = {system.n_dofs}, n_basis = {system.n_basis})")
     if args.mtx:
-        write_matrix_market(out / "K.mtx", system.K)
-        write_matrix_market(out / "M.mtx", system.M)
-        write_matrix_market(out / "X.mtx", system.X)
-        write_matrix_market(out / "G.mtx", system.G)
-        write_matrix_market(out / "Ge.mtx", system.G_e)
+        dumps = {"K": system.K, "M": system.M, "X": system.X, "G": system.G, "Ge": system.G_e}
+        for name, matrix in dumps.items():
+            write_matrix_market(out / f"{name}.mtx", matrix)
         print(f"wrote Matrix Market dumps to {out}")
     return 0
 
 
 def cmd_classify(args) -> int:
-    cfg = _config_from(args)
-    sys.stdout.write(run_classify(cfg))
+    sys.stdout.write(run_classify(_config_from(args)))
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg = _config_from(args)
     out = _out_dir(args)
-    mesh = build_mesh(cfg)
-    system, _, _ = build_system(cfg, mesh)
+    system = build_system(cfg, build_mesh(cfg))[0]
     series = run_transient(cfg, system, cfg.drive, cfg.mode, cfg.dt)
+    trace, ylabel = response(series, cfg.drive)
     stem = f"simulate_{cfg.drive}fed_{cfg.mode}_level{cfg.mesh_level}"
     if args.format in ("csv", "both"):
         emit_csv(out / f"{stem}.csv", series, "FW1")
         print(f"wrote {out / (stem + '.csv')}")
     if args.format in ("svg", "both"):
-        trace = series.voltages["FW1"] if cfg.drive == "i" else series.currents["FW1"]
-        label = "v [V]" if cfg.drive == "i" else "i [A]"
         emit_svg_plot(out / f"{stem}.svg", [(cfg.mode, series.times, trace, series.diverged_at)],
-                      xlabel="t [s]", ylabel=label)
+                      xlabel="t [s]", ylabel=ylabel)
         print(f"wrote {out / (stem + '.svg')}")
-    probe = series.voltages["FW1"] if cfg.drive == "i" else series.currents["FW1"]
-    metric = noise_metric(series.times, probe, cfg.frequency)
+    metric = noise_metric(series.times, trace, cfg.frequency)
     print(f"fundamental = {metric.fundamental_amplitude:.6e}, noise rms = {metric.noise_rms:.6e}")
     if series.diverged_at is not None:
         print(f"DIVERGED at step {series.diverged_at}")
@@ -157,24 +152,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fig4(args) -> int:
-    cfg = _config_from(args)
-    out = _out_dir(args)
-    run_fig4(cfg, out_dir=out)
-    sys.stdout.write((out / "fig4_metrics.txt").read_text(encoding="ascii"))
+    sys.stdout.write(run_fig4(_config_from(args), out_dir=_out_dir(args))["report"])
     return 0
 
 
 def cmd_fig5(args) -> int:
-    cfg = _config_from(args)
-    out = _out_dir(args)
-    run_fig5(cfg, out_dir=out)
-    sys.stdout.write((out / "fig5_metrics.txt").read_text(encoding="ascii"))
+    sys.stdout.write(run_fig5(_config_from(args), out_dir=_out_dir(args))["report"])
     return 0
 
 
 def cmd_demo_inductor(args) -> int:
-    cfg = _config_from(args)
-    sys.stdout.write(demo_inductor(cfg))
+    sys.stdout.write(demo_inductor(_config_from(args)))
     return 0
 
 

@@ -9,7 +9,9 @@ the sampling rate, so the perturbation acts as a deterministic sampled noise
 floor; this is intentional and drives the sensitivity studies.
 
 All experiment commands are pure functions of the configuration, so reruns
-produce bit-identical CSV and SVG output.
+produce bit-identical CSV and SVG output.  A study reads each run's trace with
+:func:`response`, writes its files with :func:`emit_study` and returns its
+report text, which the command line prints.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import FieldDiscretization
-from .circuit import SourceWaveform, lumped_inductor_voltage_driven, mna_stamp, parse_netlist
+from .circuit import lumped_inductor_voltage_driven, mna_stamp, parse_netlist
 from .dae_analysis import classify_element, singular_perturbation_measure
 from .errors import ParseError, ValidationError
 from .linalg import rank
@@ -96,11 +98,7 @@ class ExperimentConfig:
                 raise ValidationError(f"{key} must be finite, got {value!r}", key=key)
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            lines.append(f"{f.name} = {value!r}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {getattr(self, f.name)!r}\n" for f in fields(self))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode("ascii")).hexdigest()
@@ -126,14 +124,9 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
         value = value.strip()
         if key not in field_types:
             raise ParseError(f"unknown configuration key {key!r}", line=line_no)
-        kind = field_types[key]
+        convert = {"int": int, "float": float}.get(field_types[key], str)
         try:
-            if kind == "int":
-                overrides[key] = int(value)
-            elif kind == "float":
-                overrides[key] = float(value)
-            else:
-                overrides[key] = value
+            overrides[key] = convert(value)
         except ValueError as exc:
             raise ParseError(f"bad value {value!r} for {key}", line=line_no) from exc
         key_lines[key] = line_no
@@ -240,41 +233,56 @@ def noise_metric(times, values, frequency) -> NoiseMetric:
     return NoiseMetric(fundamental_amplitude=amplitude, noise_rms=rms, ratio=ratio)
 
 
+def response(series: TimeSeries, drive: str):
+    """The FW1 trace a drive excites and its axis label: v under current drive, i under voltage."""
+    if drive == "i":
+        return series.voltages["FW1"], "v [V]"
+    return series.currents["FW1"], "i [A]"
+
+
+def emit_study(out_dir, prefix, runs, plots, report: str) -> None:
+    """Write ``<prefix>_<key>.csv`` per run, ``<prefix>_<name>.svg`` per plot and ``report``
+    as ``<prefix>_metrics.txt`` to ``out_dir``.  ``plots`` maps a name to ``(drive,
+    [(label, series), ...])``: one curve per series, showing the response of ``drive``.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for key, series in runs.items():
+        emit_csv(out / f"{prefix}_{key}.csv", series, "FW1")
+    for name, (drive, labelled) in plots.items():
+        curves = []
+        for label, series in labelled:
+            trace, ylabel = response(series, drive)
+            curves.append((label, series.times, trace, series.diverged_at))
+        emit_svg_plot(out / f"{prefix}_{name}.svg", curves, xlabel="t [s]", ylabel=ylabel)
+    (out / f"{prefix}_metrics.txt").write_text(report, encoding="ascii")
+
+
 def run_fig4(cfg: ExperimentConfig, out_dir) -> dict:
     """Perturbation-sensitivity study: both drives at two step sizes.
 
     Uses the consistent conductance on the fine mesh.  The current-driven
     voltage noise grows when the step size shrinks; the voltage-driven
-    current noise does not.  Writes the CSV, SVG and metrics files to ``out_dir``.
+    current noise does not.  Writes the CSV, SVG and metrics files to
+    ``out_dir`` and returns the metrics text as ``results["report"]``.
     """
     system = build_system(cfg, build_mesh(cfg, FINE_LEVEL))[0]
-    results = {"series": {}, "metrics": {}}
+    series, metrics = {}, {}
     for drive in ("i", "v"):
         for dt in (1.0e-4, 1.0e-5):
-            series = run_transient(cfg, system, drive, "Ge", dt)
             key = f"{drive}fed_dt{dt:.0e}"
-            results["series"][key] = series
-            probe = series.voltages["FW1"] if drive == "i" else series.currents["FW1"]
-            results["metrics"][key] = noise_metric(series.times, probe, cfg.frequency)
-    m = results["metrics"]
-    results["metrics"]["vnoise_ratio_small_over_large_dt"] = (
-        m["ifed_dt1e-05"].noise_rms / m["ifed_dt1e-04"].noise_rms
+            s = series[key] = run_transient(cfg, system, drive, "Ge", dt)
+            metrics[key] = noise_metric(s.times, response(s, drive)[0], cfg.frequency)
+    metrics["vnoise_ratio_small_over_large_dt"] = (
+        metrics["ifed_dt1e-05"].noise_rms / metrics["ifed_dt1e-04"].noise_rms
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for key, series in results["series"].items():
-        emit_csv(out / f"fig4_{key}.csv", series, "FW1")
-    for name, drive, probe, ylabel in (
-        ("current_driven", "i", "voltages", "v [V]"),
-        ("voltage_driven", "v", "currents", "i [A]"),
-    ):
-        runs = [(dt, results["series"][f"{drive}fed_dt{dt:.0e}"]) for dt in (1.0e-5, 1.0e-4)]
-        curves = [
-            (f"dt={dt:.0e} s", s.times, getattr(s, probe)["FW1"], s.diverged_at)
-            for dt, s in runs
-        ]
-        emit_svg_plot(out / f"fig4_{name}.svg", curves, xlabel="t [s]", ylabel=ylabel)
-    (out / "fig4_metrics.txt").write_text(format_fig4_metrics(results), encoding="ascii")
+    results = {"series": series, "metrics": metrics}
+    results["report"] = format_fig4_metrics(results)
+    plots = {
+        name: (drive, [(f"dt={dt:.0e} s", series[f"{drive}fed_dt{dt:.0e}"]) for dt in (1.0e-5, 1.0e-4)])
+        for name, drive in (("current_driven", "i"), ("voltage_driven", "v"))
+    }
+    emit_study(out_dir, "fig4", series, plots, results["report"])
     return results
 
 
@@ -302,50 +310,35 @@ def run_fig5(cfg: ExperimentConfig, out_dir) -> dict:
     be indefinite on a coarse mesh and that run may diverge; the consistent
     variant is ``Ge``.  Reported per mesh: the relative RMS discrepancy between
     the two voltage traces (``inf`` if either run diverged) and any divergence
-    markers, written with the CSV and SVG files to ``out_dir``.
+    markers.  Writes the CSV, SVG and metrics files to ``out_dir`` and returns
+    the metrics text as ``results["report"]``.
     """
     results = {"series": {}, "discrepancy": {}, "diverged": {}}
     for mesh_name, level in (("coarse", COARSE_LEVEL), ("fine", FINE_LEVEL)):
         mesh = build_mesh(cfg, level)
         system, spec, basis = build_system(cfg, mesh)
         system = replace(system, G=assemble_G_exact(spec, basis))
-        pair = {}
-        for mode in ("G", "Ge"):
-            series = run_transient(cfg, system, "i", mode, 1.0e-4)
+        pair = {mode: run_transient(cfg, system, "i", mode, 1.0e-4) for mode in ("G", "Ge")}
+        for mode, series in pair.items():
             results["series"][f"{mesh_name}_{mode}"] = series
             results["diverged"][f"{mesh_name}_{mode}"] = series.diverged_at
-            pair[mode] = series
         if any(s.diverged_at is not None for s in pair.values()):
             # a diverged trace grows until the blow-up bound stops it, so any
             # finite RMS over it would measure that bound, not the models
             results["discrepancy"][mesh_name] = math.inf
             continue
-        v_g = pair["G"].voltages["FW1"]
-        v_ge = pair["Ge"].voltages["FW1"]
+        v_g, v_ge = (response(pair[mode], "i")[0] for mode in ("G", "Ge"))
         ref = float(np.sqrt(np.mean(v_ge**2)))
         results["discrepancy"][mesh_name] = float(np.sqrt(np.mean((v_g - v_ge) ** 2))) / ref
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for key, series in results["series"].items():
-        emit_csv(out / f"fig5_{key}.csv", series, "FW1")
-    for mesh_name in ("coarse", "fine"):
-        s_g = results["series"][f"{mesh_name}_G"]
-        s_ge = results["series"][f"{mesh_name}_Ge"]
-        emit_svg_plot(
-            out / f"fig5_{mesh_name}.svg",
-            [
-                ("original G", s_g.times, s_g.voltages["FW1"], s_g.diverged_at),
-                ("consistent Ge", s_ge.times, s_ge.voltages["FW1"], s_ge.diverged_at),
-            ],
-            xlabel="t [s]",
-            ylabel="v [V]",
-        )
-    lines = [
-        f"{name}: rel RMS discrepancy = {value:.6e}"
-        for name, value in results["discrepancy"].items()
-    ]
+    lines = [f"{name}: rel RMS discrepancy = {v:.6e}" for name, v in results["discrepancy"].items()]
     lines += [f"diverged[{key}] = {step}" for key, step in results["diverged"].items()]
-    (out / "fig5_metrics.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    results["report"] = "\n".join(lines) + "\n"
+    plots = {
+        mesh_name: ("i", [(label, results["series"][f"{mesh_name}_{mode}"])
+                          for label, mode in (("original G", "G"), ("consistent Ge", "Ge"))])
+        for mesh_name in ("coarse", "fine")
+    }
+    emit_study(out_dir, "fig5", results["series"], plots, results["report"])
     return results
 
 
@@ -374,28 +367,24 @@ def run_classify(cfg: ExperimentConfig) -> str:
 def demo_inductor(cfg: ExperimentConfig) -> str:
     """Lumped-inductor demonstrations: convergence order and noise amplification."""
     l_val = 1.0e-3
-    wf = SourceWaveform(kind="sin", amplitude=cfg.amplitude, frequency=cfg.frequency)
+    net = parse_netlist(f"V1 1 0 SIN {cfg.amplitude!r} {cfg.frequency!r}\nL1 1 0 {l_val!r}")
+    dae = mna_stamp(net)
     lines = ["voltage-driven inductor, implicit Euler vs closed form:"]
     errors = []
     dts = (1.0e-3, 5.0e-4, 2.5e-4)
     for dt in dts:
-        net = parse_netlist(f"V1 1 0 SIN {cfg.amplitude!r} {cfg.frequency!r}\nL1 1 0 {l_val!r}")
-        series = integrate(mna_stamp(net), StepperConfig(t0=0.0, t_end=0.02, dt=dt))
-        exact = lumped_inductor_voltage_driven(l_val, 0.0, wf, series.times)
+        series = integrate(dae, StepperConfig(t0=0.0, t_end=0.02, dt=dt))
+        exact = lumped_inductor_voltage_driven(l_val, 0.0, net.branches[0].value, series.times)
         err = float(np.max(np.abs(series.currents["L1"] - exact)))
         errors.append(err)
         lines.append(f"  dt = {dt:.2e}: max error = {err:.6e}")
     for k in range(len(dts) - 1):
         order = math.log(errors[k] / errors[k + 1]) / math.log(dts[k] / dts[k + 1])
         lines.append(f"  observed order ({dts[k]:.0e} -> {dts[k+1]:.0e}) = {order:.3f}")
-    dt = cfg.dt
-    net = parse_netlist(
-        f"I1 1 0 PSIN {cfg.amplitude!r} {cfg.frequency!r} "
-        f"{cfg.perturbation_amplitude!r} {cfg.perturbation_frequency!r}\nL1 0 1 {l_val!r}"
-    )
-    series = integrate(mna_stamp(net), StepperConfig(t0=0.0, t_end=cfg.duration, dt=dt))
+    net = parse_netlist(f"{source_line(cfg, 'i')}\nL1 0 1 {l_val!r}")
+    series = integrate(mna_stamp(net), StepperConfig(t0=0.0, t_end=cfg.duration, dt=cfg.dt))
     metric = noise_metric(series.times, series.voltages["L1"], cfg.frequency)
-    bound = l_val * 2.0 * cfg.perturbation_amplitude / dt
+    bound = l_val * 2.0 * cfg.perturbation_amplitude / cfg.dt
     lines.append("current-driven inductor with perturbed source:")
     lines.append(f"  backward-difference noise bound = {bound:.6e} V")
     lines.append(f"  measured noise RMS = {metric.noise_rms:.6e} V")

@@ -28,11 +28,12 @@ from .linalg import sparse_factorize
 MAX_STEPS = 10_000_000
 BLOWUP_BOUND = 1e12  # a state entry beyond this magnitude marks divergence
 ZERO_START_ATOL = 1e-12  # largest source magnitude a zero start leaves on an algebraic row
+GRID_RTOL = 1e-9  # how far n_steps * dt may miss the duration, relative to it
 
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time grid of one integration run."""
+    """Time grid of one integration run; ``dt`` must divide ``t_end - t0``."""
 
     t0: float
     t_end: float
@@ -43,13 +44,16 @@ class StepperConfig:
             raise ValidationError(f"dt must be positive, got {self.dt!r}", key="dt")
         if not self.t_end > self.t0:
             raise ValidationError(f"t_end must exceed t0, got {self.t_end!r}", key="duration")
-        steps = (self.t_end - self.t0) / self.dt
+        span = self.t_end - self.t0
+        steps = span / self.dt
         if not steps <= MAX_STEPS:
             raise ValidationError(f"step count {steps:.0f} exceeds the {MAX_STEPS} guard", key="dt")
         if self.n_steps < 1:
             raise ValidationError(
-                f"dt {self.dt!r} leaves no step in the duration {self.t_end - self.t0!r}", key="dt"
+                f"dt {self.dt!r} leaves no step in the duration {span!r}", key="dt"
             )
+        if abs(self.n_steps * self.dt - span) > GRID_RTOL * span:
+            raise ValidationError(f"dt {self.dt!r} does not divide the duration {span!r}", key="dt")
 
     @property
     def n_steps(self) -> int:

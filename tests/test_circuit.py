@@ -108,6 +108,21 @@ class TestParser:
         with pytest.raises(ValidationError):
             parse_netlist("R1 1 1 5")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("V1 1 0 SIN 1 50\nR1 1 0 5\nR1 1 0 5", 3),
+            ("V1 1 0 SIN 1 50\nR2 1 1 5", 2),
+            ("V1 1 0 SIN 1 50\nR1 1 0 5\n* a comment\nL1 1 0 -5", 4),
+            ("C1 1 0 0\nR1 1 0 5", 1),
+        ],
+        ids=["duplicate-name", "self-loop", "negative-L", "zero-C"],
+    )
+    def test_branch_validation_error_is_located(self, text, line):
+        with pytest.raises(ValidationError) as err:
+            parse_netlist(text)
+        assert err.value.line == line
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ParseError):
             parse_netlist("FW1 1 0 FILE sys.npz MODE Gx")

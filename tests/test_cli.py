@@ -160,14 +160,35 @@ class TestProgramErrors:
             ("demo-inductor", "1e-12", "step count 22000000000 exceeds the 10000000 guard"),
             ("simulate", "1", "dt 1.0 leaves no step in the duration 0.022"),
             ("demo-inductor", "1", "dt 1.0 leaves no step in the duration 0.022"),
+            ("simulate", "0.015", "dt 0.015 does not divide the duration 0.022"),
         ],
-        ids=["simulate", "demo-inductor", "simulate-no-step", "demo-inductor-no-step"],
+        ids=["simulate", "demo-inductor", "simulate-no-step", "demo-inductor-no-step",
+             "simulate-dt-does-not-divide"],
     )
     def test_step_guard_is_one_line(self, command, dt, message, tmp_path, capsys):
         assert main([command, "--dt", dt, "--out", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"foilfem: error: {message}\n"
+
+
+class TestStudyCommands:
+    def test_fig5_prints_the_metrics_it_writes(self, tmp_path, capsys):
+        out = run_cli(capsys, "fig5", "--out", str(tmp_path))
+        assert out == (tmp_path / "fig5_metrics.txt").read_text(encoding="ascii")
+        assert "diverged[coarse_G] = " in out
+
+    def test_fig5_calls_the_study_bound_at_call_time(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def stub(cfg, out_dir):
+            calls.append((cfg.basis_family, out_dir))
+            return {"report": "stub report\n"}
+
+        monkeypatch.setattr("foilfem.cli.run_fig5", stub)
+        assert run_cli(capsys, "fig5", "--out", str(tmp_path)) == "stub report\n"
+        assert calls == [("hat", tmp_path)]
+        assert not list(tmp_path.iterdir())  # the command itself writes and reads no file
 
 
 class TestReportCommands:

@@ -19,6 +19,7 @@ from foilfem.experiments import (
     mesh_edge_length,
     noise_metric,
     read_csv_series,
+    response,
     run_classify,
     run_fig5,
     run_transient,
@@ -185,6 +186,12 @@ class TestSvg:
 
 
 class TestRunners:
+    def test_response_is_the_trace_the_drive_excites(self):
+        voltage, current = np.array([0.0, 3.0]), np.array([0.0, 4.0])
+        series = TimeSeries(np.arange(2.0), currents={"FW1": current}, voltages={"FW1": voltage})
+        assert response(series, "i")[0] is voltage and response(series, "i")[1] == "v [V]"
+        assert response(series, "v")[0] is current and response(series, "v")[1] == "i [A]"
+
     def test_simulate_coarse_deterministic(self):
         cfg = ExperimentConfig(duration=2e-3)
         mesh = build_mesh(cfg, 0)

@@ -157,7 +157,7 @@ class TestDivergenceHandling:
     def test_unstable_system_returns_partial_series(self):
         # dy/dt = 100 y + 1 from y0 = 0; implicit Euler at dt = 0.015 amplifies
         # by 1/(1 - 1.5) = -2 per step
-        series = integrate(scalar_system(100.0), StepperConfig(t0=0.0, t_end=10.0, dt=0.015))
+        series = integrate(scalar_system(100.0), StepperConfig(t0=0.0, t_end=9.0, dt=0.015))
         assert series.diverged_at is not None
         assert len(series.times) == series.diverged_at + 1
         assert np.all(np.isfinite(series.times))
@@ -191,9 +191,12 @@ class TestDivergenceHandling:
             (math.inf, 0.1, "dt"),
             (1.0, math.inf, "dt"),
             (0.022, 1.0, "dt"),
+            (0.022, 0.015, "dt"),
+            (0.022, 0.03, "dt"),
+            (0.022, 3.0e-3, "dt"),
         ],
         ids=["dt-zero", "dt-nan", "duration-zero", "duration-nan", "duration-inf", "dt-inf",
-             "dt-leaves-no-step"],
+             "dt-leaves-no-step", "dt-stops-short", "dt-overshoots", "dt-misses-by-one-step"],
     )
     def test_bad_time_grid_names_the_key(self, t_end, dt, key):
         with pytest.raises(ValidationError) as info:
