@@ -20,6 +20,11 @@ quadrature points; together with the ``A' = r A_phi`` substitution this keeps
 elements touching the axis regular (the Dirichlet condition fixes A' = 0 on
 the axis anyway).
 
+The element data that depends only on the mesh (triangle areas and
+quadrature-point coordinates) is computed once per discretization, in
+:meth:`FieldDiscretization.from_mesh`, and every kernel indexes into it; the
+arrays are bit-identical to computing them afresh in each kernel.
+
 Assembly is batched over elements and bit-identical to a per-element loop
 (the reference forms are in ``tests/oracles.py``): element matrices come from
 elementwise arithmetic, the mass-like element matrices are one stacked
@@ -129,16 +134,22 @@ class MaterialSpec:
 
 @dataclass(frozen=True)
 class FieldDiscretization:
-    """Node-to-DoF map with Dirichlet nodes excluded.
+    """Node-to-DoF map with Dirichlet nodes excluded, and the element data of its mesh.
 
     ``dof_index[node] == -1`` marks a constrained node; free nodes are
     numbered consecutively in node order.  ``quad_degree`` selects the
-    quadrature rule used by every assembly routine.
+    quadrature rule used by every assembly routine.  ``areas`` is the
+    ``(m,)`` triangle areas, and ``quad_r`` and ``quad_z`` the ``(m, q)``
+    coordinates of each element's quadrature points; every kernel indexes
+    into them.
     """
 
     dof_index: np.ndarray
     n_dofs: int
-    quad_degree: int = 4
+    quad_degree: int
+    areas: np.ndarray
+    quad_r: np.ndarray
+    quad_z: np.ndarray
 
     @classmethod
     def from_mesh(cls, mesh: Mesh, fix_boundary: bool = True, quad_degree: int = 4):
@@ -146,28 +157,36 @@ class FieldDiscretization:
         dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
         free = np.flatnonzero(~fixed)
         dof[free] = np.arange(free.size)
-        dof.setflags(write=False)
-        return cls(dof_index=dof, n_dofs=int(free.size), quad_degree=quad_degree)
+        bary = QUADRATURE_RULES[quad_degree][0]
+        areas = mesh.triangle_areas()
+        quad_r, quad_z = (_quad_coordinates(mesh, bary, axis) for axis in (0, 1))
+        for a in (dof, areas, quad_r, quad_z):
+            a.setflags(write=False)
+        return cls(dof_index=dof, n_dofs=int(free.size), quad_degree=quad_degree,
+                   areas=areas, quad_r=quad_r, quad_z=quad_z)
 
 
-def _element_geometry(mesh: Mesh):
-    """Per-element areas and P1 hat gradients (d/dr, d/dz)."""
+def _quad_coordinates(mesh: Mesh, bary: np.ndarray, axis: int) -> np.ndarray:
+    """Coordinate ``axis`` of every element's quadrature points, ``(m, q)``.
+
+    Point ``q`` is ``sum_a bary[q, a] * corner_a``, summed left to right as a
+    per-element loop sums it.
+    """
+    c = mesh.nodes[:, axis][mesh.triangles.T]  # (3, m)
+    points = bary[:, 0, None] * c[0] + bary[:, 1, None] * c[1] + bary[:, 2, None] * c[2]
+    return np.ascontiguousarray(points.T)
+
+
+def _hat_gradients(mesh: Mesh):
+    """Per-element P1 hat gradients (d/dr, d/dz)."""
     p = mesh.nodes[mesh.triangles]
     r1, z1 = p[:, 0, 0], p[:, 0, 1]
     r2, z2 = p[:, 1, 0], p[:, 1, 1]
     r3, z3 = p[:, 2, 0], p[:, 2, 1]
     det = (r2 - r1) * (z3 - z1) - (r3 - r1) * (z2 - z1)
-    area = 0.5 * det
     grad_r = np.stack([(z2 - z3), (z3 - z1), (z1 - z2)], axis=1) / det[:, None]
     grad_z = np.stack([(r3 - r2), (r1 - r3), (r2 - r1)], axis=1) / det[:, None]
-    return area, grad_r, grad_z
-
-
-def _quad_points(mesh: Mesh, degree: int):
-    bary, weights = QUADRATURE_RULES[degree]
-    p = mesh.nodes[mesh.triangles]  # (m, 3, 2)
-    pts = np.einsum("qa,mad->mqd", bary, p)  # (m, q, 2)
-    return bary, weights, pts
+    return grad_r, grad_z
 
 
 def _per_element(regions: np.ndarray, materials: MaterialSpec, pick) -> np.ndarray:
@@ -198,15 +217,20 @@ def _scatter(idx: np.ndarray, vals: np.ndarray, n_dofs: int) -> sp.csr_matrix:
 
 def assemble_stiffness(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization) -> sp.csr_matrix:
     """Curl-curl stiffness matrix; symmetric positive semidefinite."""
-    area, grad_r, grad_z = _element_geometry(mesh)
-    _, weights, pts = _quad_points(mesh, disc.quad_degree)
-    inv_r = np.einsum("q,mq->m", weights, 1.0 / pts[:, :, 0])
+    grad_r, grad_z = _hat_gradients(mesh)
+    weights = QUADRATURE_RULES[disc.quad_degree][1]
+    inv_r = np.einsum("q,mq->m", weights, 1.0 / disc.quad_r)
     nu_r = _per_element(mesh.regions, materials, lambda mat: mat.nu[0])[:, None, None]
     nu_z = _per_element(mesh.regions, materials, lambda mat: mat.nu[1])[:, None, None]
     gz_gz = grad_z[:, :, None] * grad_z[:, None, :]
     gr_gr = grad_r[:, :, None] * grad_r[:, None, :]
-    ke = (TWO_PI * area * inv_r)[:, None, None] * (nu_r * gz_gz + nu_z * gr_gr)
+    ke = (TWO_PI * disc.areas * inv_r)[:, None, None] * (nu_r * gz_gz + nu_z * gr_gr)
     return _scatter(disc.dof_index[mesh.triangles], ke.reshape(1, -1, 9), disc.n_dofs)
+
+
+def conductivities(mesh: Mesh, materials: MaterialSpec) -> np.ndarray:
+    """The azimuthal conductivity of every element."""
+    return _per_element(mesh.regions, materials, lambda mat: mat.sigma[1])
 
 
 def conduction_quadrature(
@@ -219,13 +243,13 @@ def conduction_quadrature(
     ``scale = 2*pi*area``.  An element's mass entry weighted by ``profile`` is
     ``scale * sum_q w_eff * profile(r, z) * N_a * N_b``.
     """
-    elements = np.arange(mesh.n_triangles) if tag is None else np.flatnonzero(mesh.regions == tag)
-    sigma = _per_element(mesh.regions[elements], materials, lambda mat: mat.sigma[1])
-    elements, sigma = elements[sigma != 0.0], sigma[sigma != 0.0]
-    _, weights, pts = _quad_points(mesh, disc.quad_degree)
-    r, z = pts[elements, :, 0], pts[elements, :, 1]
-    scale = TWO_PI * mesh.triangle_areas()[elements]
-    return elements, r, z, weights * sigma[:, None] / r, scale
+    sigma = conductivities(mesh, materials)
+    chosen = sigma != 0.0 if tag is None else (sigma != 0.0) & (mesh.regions == tag)
+    elements = np.flatnonzero(chosen)
+    weights = QUADRATURE_RULES[disc.quad_degree][1]
+    r, z = disc.quad_r[elements], disc.quad_z[elements]
+    scale = TWO_PI * disc.areas[elements]
+    return elements, r, z, weights * sigma[elements][:, None] / r, scale
 
 
 def _mass_like(mesh, materials, disc, tag, profiles) -> sp.csr_matrix:

@@ -43,6 +43,7 @@ from .experiments import (
     run_fig4,
     run_fig5,
     run_transient,
+    time_grid,
 )
 from .linalg import write_matrix_market
 from .mesh import RegionTag, read_mesh, refine_uniform, write_mesh
@@ -132,10 +133,12 @@ def cmd_classify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from(args)
+    time_grid(cfg, cfg.dt)
     out = _out_dir(args)
     system = build_system(cfg, build_mesh(cfg))[0]
     series = run_transient(cfg, system, cfg.drive, cfg.mode, cfg.dt)
     trace, ylabel = response(series, cfg.drive)
+    metric = noise_metric(series.times, trace, cfg.frequency)
     stem = f"simulate_{cfg.drive}fed_{cfg.mode}_level{cfg.mesh_level}"
     if args.format in ("csv", "both"):
         emit_csv(out / f"{stem}.csv", series, "FW1")
@@ -144,7 +147,6 @@ def cmd_simulate(args) -> int:
         emit_svg_plot(out / f"{stem}.svg", [(cfg.mode, series.times, trace, series.diverged_at)],
                       xlabel="t [s]", ylabel=ylabel)
         print(f"wrote {out / (stem + '.svg')}")
-    metric = noise_metric(series.times, trace, cfg.frequency)
     print(f"fundamental = {metric.fundamental_amplitude:.6e}, noise rms = {metric.noise_rms:.6e}")
     if series.diverged_at is not None:
         print(f"DIVERGED at step {series.diverged_at}")

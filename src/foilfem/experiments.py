@@ -47,6 +47,8 @@ FINE_LEVEL = 2
 DRIVES = ("v", "i")
 NOISE_HARMONICS = 3
 NOISE_TAIL = 0.6
+FIG4_DTS = (1.0e-4, 1.0e-5)
+FIG5_DT = 1.0e-4
 
 
 @dataclass(frozen=True)
@@ -194,11 +196,18 @@ def source_line(cfg: ExperimentConfig, drive: str) -> str:
     )
 
 
+def time_grid(cfg: ExperimentConfig, dt: float) -> StepperConfig:
+    """The time grid of a run over the configured duration; a command builds the grid of
+    each of its runs before it meshes, so a rejected ``dt`` or ``duration`` costs no
+    assembly."""
+    return StepperConfig(t0=0.0, t_end=cfg.duration, dt=dt)
+
+
 def run_transient(cfg: ExperimentConfig, system, drive: str, mode: str, dt: float) -> TimeSeries:
     """One foil-winding run: compose the two-branch netlist, stamp, integrate."""
     netlist = parse_netlist(f"{source_line(cfg, drive)}\nFW1 1 0 FILE <memory> MODE {mode}")
     dae = mna_stamp(netlist, field_systems={"<memory>": system})
-    return integrate(dae, StepperConfig(t0=0.0, t_end=cfg.duration, dt=dt), probe_names=["FW1"])
+    return integrate(dae, time_grid(cfg, dt), probe_names=["FW1"])
 
 
 @dataclass(frozen=True)
@@ -216,6 +225,11 @@ class NoiseMetric:
 
 
 def noise_metric(times, values, frequency) -> NoiseMetric:
+    """Fit the fundamental and harmonics over the run's tail; see :class:`NoiseMetric`.
+
+    Raises :class:`ValidationError` (key ``duration``) when the tail has fewer
+    samples than the fit has columns, since such a fit is underdetermined.
+    """
     n0 = int(round(len(times) * (1.0 - NOISE_TAIL)))
     t = np.asarray(times)[n0:]
     y = np.asarray(values)[n0:]
@@ -224,6 +238,12 @@ def noise_metric(times, values, frequency) -> NoiseMetric:
         w = 2.0 * math.pi * k * frequency
         columns.append(np.sin(w * t))
         columns.append(np.cos(w * t))
+    if t.size < len(columns):
+        raise ValidationError(
+            f"the noise fit needs {len(columns)} samples in the last {NOISE_TAIL:.0%} of the "
+            f"run, got {t.size}; lengthen the duration",
+            key="duration",
+        )
     design = np.column_stack(columns)
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     amplitude = math.hypot(coeffs[1], coeffs[2])
@@ -266,10 +286,12 @@ def run_fig4(cfg: ExperimentConfig, out_dir) -> dict:
     current noise does not.  Writes the CSV, SVG and metrics files to
     ``out_dir`` and returns the metrics text as ``results["report"]``.
     """
+    for dt in FIG4_DTS:
+        time_grid(cfg, dt)
     system = build_system(cfg, build_mesh(cfg, FINE_LEVEL))[0]
     series, metrics = {}, {}
     for drive in ("i", "v"):
-        for dt in (1.0e-4, 1.0e-5):
+        for dt in FIG4_DTS:
             key = f"{drive}fed_dt{dt:.0e}"
             s = series[key] = run_transient(cfg, system, drive, "Ge", dt)
             metrics[key] = noise_metric(s.times, response(s, drive)[0], cfg.frequency)
@@ -279,7 +301,7 @@ def run_fig4(cfg: ExperimentConfig, out_dir) -> dict:
     results = {"series": series, "metrics": metrics}
     results["report"] = format_fig4_metrics(results)
     plots = {
-        name: (drive, [(f"dt={dt:.0e} s", series[f"{drive}fed_dt{dt:.0e}"]) for dt in (1.0e-5, 1.0e-4)])
+        name: (drive, [(f"dt={dt:.0e} s", series[f"{drive}fed_dt{dt:.0e}"]) for dt in FIG4_DTS[::-1]])
         for name, drive in (("current_driven", "i"), ("voltage_driven", "v"))
     }
     emit_study(out_dir, "fig4", series, plots, results["report"])
@@ -313,12 +335,13 @@ def run_fig5(cfg: ExperimentConfig, out_dir) -> dict:
     markers.  Writes the CSV, SVG and metrics files to ``out_dir`` and returns
     the metrics text as ``results["report"]``.
     """
+    time_grid(cfg, FIG5_DT)
     results = {"series": {}, "discrepancy": {}, "diverged": {}}
     for mesh_name, level in (("coarse", COARSE_LEVEL), ("fine", FINE_LEVEL)):
         mesh = build_mesh(cfg, level)
         system, spec, basis = build_system(cfg, mesh)
         system = replace(system, G=assemble_G_exact(spec, basis))
-        pair = {mode: run_transient(cfg, system, "i", mode, 1.0e-4) for mode in ("G", "Ge")}
+        pair = {mode: run_transient(cfg, system, "i", mode, FIG5_DT) for mode in ("G", "Ge")}
         for mode, series in pair.items():
             results["series"][f"{mesh_name}_{mode}"] = series
             results["diverged"][f"{mesh_name}_{mode}"] = series.diverged_at
@@ -366,6 +389,7 @@ def run_classify(cfg: ExperimentConfig) -> str:
 
 def demo_inductor(cfg: ExperimentConfig) -> str:
     """Lumped-inductor demonstrations: convergence order and noise amplification."""
+    noise_grid = time_grid(cfg, cfg.dt)
     l_val = 1.0e-3
     net = parse_netlist(f"V1 1 0 SIN {cfg.amplitude!r} {cfg.frequency!r}\nL1 1 0 {l_val!r}")
     dae = mna_stamp(net)
@@ -382,7 +406,7 @@ def demo_inductor(cfg: ExperimentConfig) -> str:
         order = math.log(errors[k] / errors[k + 1]) / math.log(dts[k] / dts[k + 1])
         lines.append(f"  observed order ({dts[k]:.0e} -> {dts[k+1]:.0e}) = {order:.3f}")
     net = parse_netlist(f"{source_line(cfg, 'i')}\nL1 0 1 {l_val!r}")
-    series = integrate(mna_stamp(net), StepperConfig(t0=0.0, t_end=cfg.duration, dt=cfg.dt))
+    series = integrate(mna_stamp(net), noise_grid)
     metric = noise_metric(series.times, series.voltages["L1"], cfg.frequency)
     bound = l_val * 2.0 * cfg.perturbation_amplitude / cfg.dt
     lines.append("current-driven inductor with perturbed source:")

@@ -33,6 +33,8 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, ParseError, ValidationError
 
+MAX_NODES = 2_000_000  # largest mesh generate_parametric_mesh builds
+
 
 class RegionTag(IntEnum):
     AIR = 0
@@ -185,17 +187,35 @@ class GeometrySpec:
         zc = 0.5 * self.yoke_height
         return (zc - 0.5 * self.air_gap_length, zc + 0.5 * self.air_gap_length)
 
-    def region_of(self, r: float, z: float) -> RegionTag:
-        """Region tag of an interior point (not on a breakline)."""
+    def region_of(self, r, z) -> np.ndarray:
+        """Region tags of interior points (not on a breakline).
+
+        ``r`` and ``z`` are arrays (or scalars) of one broadcast shape; the
+        result is an int array of :class:`RegionTag` values of that shape.
+        The strict comparisons are tested in priority order: winding, air
+        gap, air window, and the yoke for every other point.
+        """
+        r, z = np.asarray(r, dtype=float), np.asarray(z, dtype=float)
         w0, w1 = self.winding_z_bounds
         g0, g1 = self.gap_z_bounds
-        if self.winding_inner_radius < r < self.winding_outer_radius and w0 < z < w1:
-            return RegionTag.FOIL_WINDING
-        if r < self.limb_radius and g0 < z < g1:
-            return RegionTag.AIR_GAP
-        if self.limb_radius < r < self.window_outer_radius and self.window_bottom < z < self.window_top:
-            return RegionTag.AIR
-        return RegionTag.YOKE
+        inside = [
+            (self.winding_inner_radius < r) & (r < self.winding_outer_radius) & (w0 < z) & (z < w1),
+            (r < self.limb_radius) & (g0 < z) & (z < g1),
+            (self.limb_radius < r) & (r < self.window_outer_radius)
+            & (self.window_bottom < z) & (z < self.window_top),
+        ]
+        tags = [int(RegionTag.FOIL_WINDING), int(RegionTag.AIR_GAP), int(RegionTag.AIR)]
+        return np.select(inside, tags, default=int(RegionTag.YOKE))
+
+
+def _tick_count(breaks, h: float) -> float:
+    """Number of ticks :func:`_ticks` makes, computed without making them.
+
+    A float, so that a vanishing ``h`` counts as inf rather than overflowing.
+    """
+    gaps = np.diff(np.unique(np.asarray(breaks, dtype=float)))
+    with np.errstate(over="ignore"):
+        return 1.0 + float(np.maximum(1.0, np.ceil(gaps / h - 1e-12)).sum())
 
 
 def _ticks(breaks, h: float) -> np.ndarray:
@@ -213,8 +233,10 @@ def _ticks(breaks, h: float) -> np.ndarray:
 def tensor_mesh(r_ticks, z_ticks, region_of) -> Mesh:
     """Triangulate the tensor grid, tagging each triangle by its centroid.
 
-    Cells run r-fastest and split into ``(a, b, c)``, ``(a, c, d)`` from the
-    lower-left corner ``a``, counterclockwise.
+    ``region_of(r, z)`` is called once on the centroid coordinate arrays; its
+    result is broadcast to one tag per triangle, so a constant tag serves a
+    single-region mesh.  Cells run r-fastest and split into ``(a, b, c)``,
+    ``(a, c, d)`` from the lower-left corner ``a``, counterclockwise.
     """
     r_ticks = np.asarray(r_ticks, dtype=float)
     z_ticks = np.asarray(z_ticks, dtype=float)
@@ -228,7 +250,7 @@ def tensor_mesh(r_ticks, z_ticks, region_of) -> Mesh:
     d, c = ids[1:, :-1], ids[1:, 1:]
     triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
     centroids = nodes[triangles].mean(axis=1)
-    regions = [int(region_of(r, z)) for r, z in centroids.tolist()]
+    regions = np.broadcast_to(region_of(centroids[:, 0], centroids[:, 1]), triangles.shape[:1])
     boundary = np.ones((nz, nr), dtype=bool)
     boundary[1:-1, 1:-1] = False
     mesh = Mesh(nodes, triangles, regions, boundary.ravel())
@@ -247,6 +269,8 @@ def generate_parametric_mesh(geom: GeometrySpec, h: float) -> Mesh:
     """Mesh the full device cross-section at target edge length ``h``.
 
     Deterministic for fixed inputs; node count is nonincreasing in ``h``.
+    A mesh of more than ``MAX_NODES`` nodes is rejected with a
+    :class:`ValidationError` before any tick is made.
     Every region tick set contains the region breaklines, so the winding is
     meshed with at least one element layer per rectangle strip and at least
     two element columns across its radial thickness are guaranteed by adding
@@ -267,6 +291,12 @@ def generate_parametric_mesh(geom: GeometrySpec, h: float) -> Mesh:
         geom.yoke_outer_radius,
     ]
     z_breaks = [0.0, geom.window_bottom, w0, g0, g1, w1, geom.window_top, geom.yoke_height]
+    n_r, n_z = _tick_count(r_breaks, h), _tick_count(z_breaks, h)
+    if not n_r * n_z <= MAX_NODES:
+        raise ValidationError(
+            f"edge length h = {h:.4e} m gives {n_r:.3g} x {n_z:.3g} mesh nodes, "
+            f"above the {MAX_NODES} node guard"
+        )
     mesh = tensor_mesh(_ticks(r_breaks, h), _ticks(z_breaks, h), geom.region_of)
     present = set(int(t) for t in np.unique(mesh.regions))
     expected = {int(t) for t in RegionTag}

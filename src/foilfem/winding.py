@@ -49,6 +49,7 @@ from .assembly import (
     assemble_profile_masses,
     assemble_stiffness,
     conduction_quadrature,
+    conductivities,
 )
 from .errors import EmptyWindingError, ValidationError
 from .linalg import RestrictedSpdSolver, canonical_csr, max_abs
@@ -221,8 +222,8 @@ def distribution_coefficients(mesh: Mesh, disc: FieldDiscretization) -> np.ndarr
 
 def conductive_support(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization) -> np.ndarray:
     """DoF indices adjacent to at least one conductive element."""
-    elements = conduction_quadrature(mesh, materials, disc)[0]
-    dofs = disc.dof_index[np.unique(mesh.triangles[elements])]
+    conductive = conductivities(mesh, materials) != 0.0
+    dofs = disc.dof_index[np.unique(mesh.triangles[conductive])]
     return np.sort(dofs[dofs >= 0]).astype(np.intp)
 
 

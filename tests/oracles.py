@@ -6,11 +6,11 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from foilfem.assembly import TWO_PI, _element_geometry, _quad_points
+from foilfem.assembly import QUADRATURE_RULES, TWO_PI
 from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
 from foilfem.errors import SingularMatrixError, SingularSystemAtStepError
 from foilfem.linalg import canonical_csr, sparse_factorize
-from foilfem.mesh import Mesh, RegionTag, validate_mesh
+from foilfem.mesh import GeometrySpec, Mesh, RegionTag, validate_mesh
 from foilfem.timestepper import BLOWUP_BOUND, TimeSeries, consistent_zero_start
 from foilfem.winding import (
     AssembledFoilSystem,
@@ -91,9 +91,32 @@ def _loop_append(rows, cols, vals, element_matrix, idx):
     vals.append(sub.ravel())
 
 
+def loop_element_geometry(mesh, degree):
+    """Areas, P1 hat gradients (d/dr, d/dz) and quadrature points, one element at a time.
+
+    Returns ``(area, grad_r, grad_z, bary, weights, pts)`` with ``pts`` of
+    shape ``(m, q, 2)``; each point is ``sum_a bary[q, a] * node_a`` summed
+    left to right.
+    """
+    bary, weights = QUADRATURE_RULES[degree]
+    m = mesh.n_triangles
+    area, grad_r, grad_z = np.empty(m), np.empty((m, 3)), np.empty((m, 3))
+    pts = np.empty((m, bary.shape[0], 2))
+    for e, tri in enumerate(mesh.triangles.tolist()):
+        corners = mesh.nodes[tri].tolist()
+        (r1, z1), (r2, z2), (r3, z3) = corners
+        det = (r2 - r1) * (z3 - z1) - (r3 - r1) * (z2 - z1)
+        area[e] = 0.5 * det
+        grad_r[e] = [(z2 - z3) / det, (z3 - z1) / det, (z1 - z2) / det]
+        grad_z[e] = [(r3 - r2) / det, (r1 - r3) / det, (r2 - r1) / det]
+        for q, (b0, b1, b2) in enumerate(bary.tolist()):
+            for d in range(2):
+                pts[e, q, d] = b0 * corners[0][d] + b1 * corners[1][d] + b2 * corners[2][d]
+    return area, grad_r, grad_z, bary, weights, pts
+
+
 def loop_assemble_stiffness(mesh, materials, disc):
-    area, grad_r, grad_z = _element_geometry(mesh)
-    _, weights, pts = _quad_points(mesh, disc.quad_degree)
+    area, grad_r, grad_z, _, weights, pts = loop_element_geometry(mesh, disc.quad_degree)
     inv_r = np.einsum("q,mq->m", weights, 1.0 / pts[:, :, 0])
     rows, cols, vals = [], [], []
     for e in range(mesh.n_triangles):
@@ -105,8 +128,7 @@ def loop_assemble_stiffness(mesh, materials, disc):
 
 
 def loop_mass_like(mesh, materials, disc, element_filter, profile):
-    area, _, _ = _element_geometry(mesh)
-    bary, weights, pts = _quad_points(mesh, disc.quad_degree)
+    area, _, _, bary, weights, pts = loop_element_geometry(mesh, disc.quad_degree)
     hat_products = bary[:, :, None] * bary[:, None, :]
     rows, cols, vals = [], [], []
     for e in range(mesh.n_triangles):
@@ -167,7 +189,21 @@ def loop_conductive_support(mesh, materials, disc):
     return np.asarray(sorted(int(d) for d in dofs if d >= 0), dtype=np.intp)
 
 
+def scalar_region_of(geom: GeometrySpec, r: float, z: float) -> RegionTag:
+    """Region tag of one interior point (not on a breakline), by chained comparisons."""
+    w0, w1 = geom.winding_z_bounds
+    g0, g1 = geom.gap_z_bounds
+    if geom.winding_inner_radius < r < geom.winding_outer_radius and w0 < z < w1:
+        return RegionTag.FOIL_WINDING
+    if r < geom.limb_radius and g0 < z < g1:
+        return RegionTag.AIR_GAP
+    if geom.limb_radius < r < geom.window_outer_radius and geom.window_bottom < z < geom.window_top:
+        return RegionTag.AIR
+    return RegionTag.YOKE
+
+
 def loop_tensor_mesh(r_ticks, z_ticks, region_of):
+    """The tensor-grid mesher, one cell at a time; ``region_of(r, z)`` tags one centroid."""
     r_ticks = np.asarray(r_ticks, dtype=float)
     z_ticks = np.asarray(z_ticks, dtype=float)
     nr, nz = r_ticks.size, z_ticks.size

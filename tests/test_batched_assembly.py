@@ -19,6 +19,7 @@ from oracles import (
     loop_mass_like,
     loop_refine_uniform,
     loop_tensor_mesh,
+    scalar_region_of,
 )
 
 from foilfem.assembly import (
@@ -81,10 +82,50 @@ class TestMesher:
     def test_tensor_mesh_matches_loop(self, built):
         cfg, mesh = built[0], built[1]
         r_ticks, z_ticks = np.unique(mesh.nodes[:, 0]), np.unique(mesh.nodes[:, 1])
-        region_of = build_geometry(cfg).region_of
-        batched = tensor_mesh(r_ticks, z_ticks, region_of)
-        assert_same_mesh(batched, loop_tensor_mesh(r_ticks, z_ticks, region_of))
+        geom = build_geometry(cfg)
+        batched = tensor_mesh(r_ticks, z_ticks, geom.region_of)
+        loop = loop_tensor_mesh(r_ticks, z_ticks, lambda r, z: scalar_region_of(geom, r, z))
+        assert_same_mesh(batched, loop)
         assert_same_mesh(batched, mesh)
+
+    @pytest.mark.parametrize("level", range(4))
+    def test_region_of_matches_scalar_form_on_every_centroid(self, level):
+        cfg = ExperimentConfig()
+        geom = build_geometry(cfg)
+        centroids = build_mesh(cfg, level)
+        centroids = centroids.nodes[centroids.triangles].mean(axis=1)
+        tags = geom.region_of(centroids[:, 0], centroids[:, 1])
+        expected = [int(scalar_region_of(geom, r, z)) for r, z in centroids.tolist()]
+        assert tags.tolist() == expected
+        assert set(expected) == {int(t) for t in RegionTag}
+
+    def test_region_of_matches_scalar_form_on_and_off_the_breaklines(self):
+        geom = build_geometry(ExperimentConfig())
+        # the centroids of a rectangle over the device box whose cells ignore the breaklines
+        box = rectangle_mesh(0.0, geom.yoke_outer_radius, 0.0, geom.yoke_height, h=0.7e-3)
+        centroids = box.nodes[box.triangles].mean(axis=1)
+        # every breakline crossing and the midpoints between them, where a non-strict
+        # comparison or a reordered test would tag differently
+        w0, w1 = geom.winding_z_bounds
+        g0, g1 = geom.gap_z_bounds
+        r_lines = np.unique([0.0, geom.limb_radius, geom.winding_inner_radius,
+                             geom.winding_outer_radius, geom.window_outer_radius,
+                             geom.yoke_outer_radius])
+        z_lines = np.unique([0.0, geom.window_bottom, w0, g0, g1, w1, geom.window_top,
+                             geom.yoke_height])
+        rr, zz = np.meshgrid(*(np.sort(np.concatenate([v, 0.5 * (v[1:] + v[:-1])]))
+                               for v in (r_lines, z_lines)))
+        points = np.concatenate([centroids, np.column_stack([rr.ravel(), zz.ravel()])])
+        tags = geom.region_of(points[:, 0], points[:, 1])
+        assert tags.tolist() == [int(scalar_region_of(geom, r, z)) for r, z in points.tolist()]
+        assert int(geom.region_of(*points[0])) == int(scalar_region_of(geom, *points[0]))
+
+    def test_rectangle_mesh_broadcasts_its_tag(self):
+        box = rectangle_mesh(1.0, 2.0, 0.0, 1.0, h=0.25, tag=RegionTag.YOKE)
+        loop = loop_tensor_mesh(np.unique(box.nodes[:, 0]), np.unique(box.nodes[:, 1]),
+                                lambda r, z: RegionTag.YOKE)
+        assert_same_mesh(box, loop)
+        assert np.all(box.regions == int(RegionTag.YOKE))
 
     def test_refine_uniform_matches_loop(self, built):
         mesh = built[1]

@@ -113,10 +113,10 @@ class TestSimulateCommand:
 
     def test_config_file_plumbs_through(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text("duration = 1e-3\ndrive = i\nmesh_level = 0\n")
+        cfg_path.write_text("duration = 2e-3\ndrive = i\nmesh_level = 0\n")
         run_cli(capsys, "simulate", "--config", str(cfg_path), "--out", str(tmp_path))
         t, _, _ = read_csv_series(tmp_path / "simulate_ifed_Ge_level0.csv")
-        assert t.size == 11
+        assert t.size == 21
 
     def test_config_value_outside_its_set_is_rejected_with_its_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -170,6 +170,66 @@ class TestProgramErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"foilfem: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--dt", "0.015", "--mesh-level", "3"],
+             "dt 0.015 does not divide the duration 0.022"),
+            (["fig4", "--duration", "0.00015"], "dt 0.0001 does not divide the duration 0.00015"),
+            (["fig4", "--duration", "200"], "step count 20000000 exceeds the 10000000 guard"),
+            (["fig5", "--duration", "0.00015"], "dt 0.0001 does not divide the duration 0.00015"),
+            (["demo-inductor", "--dt", "0.015"], "dt 0.015 does not divide the duration 0.022"),
+        ],
+        ids=["simulate", "fig4-large-dt", "fig4-small-dt", "fig5", "demo-inductor"],
+    )
+    def test_time_grid_is_checked_before_any_assembly(
+        self, argv, message, tmp_path, capsys, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the time grid was checked")
+
+        for name in ("cli.build_mesh", "cli.build_system", "experiments.build_mesh",
+                     "experiments.build_system", "experiments.integrate"):
+            monkeypatch.setattr(f"foilfem.{name}", forbidden)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"foilfem: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, tail",
+        [
+            (["fig4", "--duration", "0.0002"], 2),
+            (["simulate", "--duration", "0.0002", "--dt", "0.0001"], 2),
+            (["demo-inductor", "--duration", "1e-4", "--dt", "1e-4"], 1),
+        ],
+        ids=["fig4", "simulate", "demo-inductor"],
+    )
+    def test_underdetermined_noise_fit_is_one_line(self, argv, tail, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"foilfem: error: the noise fit needs 9 samples in the last 60% of the run, "
+            f"got {tail}; lengthen the duration\n"
+        )
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_mesh_size_guard_is_one_line_before_any_tick(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ticks expanded before the node guard")
+
+        monkeypatch.setattr("foilfem.mesh._ticks", forbidden)
+        assert main(["mesh", "gen", "--mesh-level", "40", "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "foilfem: error: edge length h = 6.1846e-15 m gives 6.47e+12 x 1.23e+13 mesh nodes, "
+            "above the 2000000 node guard\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestStudyCommands:

@@ -117,6 +117,16 @@ class TestNoiseMetric:
         metric = noise_metric(t, y, 50.0)
         assert metric.noise_rms <= 1e-9
 
+    def test_underdetermined_fit_is_a_named_error(self):
+        # 15 samples leave a tail of 9, one per fitted column; 14 leave 8
+        t = np.arange(15) * 1e-3
+        y = np.sin(2 * np.pi * 50 * t)
+        assert math.isfinite(noise_metric(t, y, 50.0).fundamental_amplitude)
+        with pytest.raises(ValidationError) as exc:
+            noise_metric(t[:14], y[:14], 50.0)
+        assert exc.value.key == "duration"
+        assert "the noise fit needs 9 samples" in str(exc.value)
+
 
 class TestCsv:
     def test_roundtrip_exact(self, tmp_path):

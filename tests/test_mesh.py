@@ -77,6 +77,20 @@ class TestParametricMesh:
         assert np.any(mesh.nodes[:, 0] == 0.0)
         assert np.all(mesh.nodes[:, 0] >= 0.0)
 
+    def test_node_guard_counts_the_nodes_before_making_any(self, monkeypatch):
+        import foilfem.mesh as mesh_module
+
+        h = 1.0e-3
+        n = generate_parametric_mesh(GEOM, h).n_nodes
+        monkeypatch.setattr(mesh_module, "MAX_NODES", n)
+        assert generate_parametric_mesh(GEOM, h).n_nodes == n
+        monkeypatch.setattr(mesh_module, "MAX_NODES", n - 1)
+        monkeypatch.setattr(mesh_module, "_ticks", None)  # a call would raise TypeError
+        with pytest.raises(ValidationError, match=f"above the {n - 1} node guard"):
+            generate_parametric_mesh(GEOM, h)
+        with pytest.raises(ValidationError, match="gives inf x inf mesh nodes"):
+            generate_parametric_mesh(GEOM, 1e-320)
+
     def test_degenerate_h_raises(self):
         with pytest.raises(ValueError):
             generate_parametric_mesh(GEOM, -1.0)
