@@ -388,10 +388,25 @@ class DAESystem:
     layout: dict
     probes: dict
 
-    def source(self, t: float) -> np.ndarray:
-        s = np.zeros(self.E.shape[0])
+    def row_sources(self, t) -> dict:
+        """Map each row with a source to the value of its sources at ``t`` (scalar or array).
+
+        A row's sources are summed in ``source_rows`` order, starting from 0.0.
+        """
+        values = {}
         for row, waveform, sign in self.source_rows:
-            s[row] += sign * waveform(t)
+            values[row] = values.get(row, 0.0) + sign * waveform(t)
+        return values
+
+    def source(self, t: float) -> np.ndarray:
+        """The source vector ``s(t)``: :meth:`row_sources` on its rows, zero elsewhere.
+
+        :func:`~foilfem.timestepper.integrate` calls this only for its zero-start check;
+        its steps use :meth:`row_sources`, evaluated once on the whole time grid.
+        """
+        s = np.zeros(self.E.shape[0])
+        for row, value in self.row_sources(t).items():
+            s[row] = value
         return s
 
 

@@ -37,13 +37,13 @@ from .experiments import (
     emit_svg_plot,
     load_config,
     mesh_edge_length,
+    noise_fit_grid,
     noise_metric,
     response,
     run_classify,
     run_fig4,
     run_fig5,
     run_transient,
-    time_grid,
 )
 from .linalg import write_matrix_market
 from .mesh import RegionTag, read_mesh, refine_uniform, write_mesh
@@ -133,12 +133,12 @@ def cmd_classify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from(args)
-    time_grid(cfg, cfg.dt)
-    out = _out_dir(args)
+    noise_fit_grid(cfg, cfg.dt)
     system = build_system(cfg, build_mesh(cfg))[0]
     series = run_transient(cfg, system, cfg.drive, cfg.mode, cfg.dt)
     trace, ylabel = response(series, cfg.drive)
     metric = noise_metric(series.times, trace, cfg.frequency)
+    out = _out_dir(args)
     stem = f"simulate_{cfg.drive}fed_{cfg.mode}_level{cfg.mesh_level}"
     if args.format in ("csv", "both"):
         emit_csv(out / f"{stem}.csv", series, "FW1")
@@ -154,12 +154,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fig4(args) -> int:
-    sys.stdout.write(run_fig4(_config_from(args), out_dir=_out_dir(args))["report"])
+    sys.stdout.write(run_fig4(_config_from(args), out_dir=Path(args.out))["report"])
     return 0
 
 
 def cmd_fig5(args) -> int:
-    sys.stdout.write(run_fig5(_config_from(args), out_dir=_out_dir(args))["report"])
+    sys.stdout.write(run_fig5(_config_from(args), out_dir=Path(args.out))["report"])
     return 0
 
 

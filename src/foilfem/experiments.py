@@ -47,6 +47,7 @@ FINE_LEVEL = 2
 DRIVES = ("v", "i")
 NOISE_HARMONICS = 3
 NOISE_TAIL = 0.6
+NOISE_FIT_COLUMNS = 2 * NOISE_HARMONICS + 3  # a constant, a sine and a cosine per tone
 FIG4_DTS = (1.0e-4, 1.0e-5)
 FIG5_DT = 1.0e-4
 
@@ -166,10 +167,16 @@ def build_winding_spec(cfg: ExperimentConfig) -> FoilWindingSpec:
 
 
 def mesh_edge_length(level: int) -> float:
+    """Target edge length of a mesh level; a level whose halving underflows to 0 m is rejected."""
     if level in MESH_LEVEL_H:
         return MESH_LEVEL_H[level]
     top = max(MESH_LEVEL_H)
-    return MESH_LEVEL_H[top] * 0.5 ** (level - top)
+    h = math.ldexp(MESH_LEVEL_H[top], top - level)
+    if h == 0.0:
+        raise ValidationError(
+            f"mesh_level {level} halves the edge length below the smallest float", key="mesh_level"
+        )
+    return h
 
 
 def build_mesh(cfg: ExperimentConfig, level: int | None = None) -> Mesh:
@@ -203,6 +210,14 @@ def time_grid(cfg: ExperimentConfig, dt: float) -> StepperConfig:
     return StepperConfig(t0=0.0, t_end=cfg.duration, dt=dt)
 
 
+def noise_fit_grid(cfg: ExperimentConfig, dt: float) -> StepperConfig:
+    """:func:`time_grid` of a run whose trace feeds :func:`noise_metric`, also rejected when
+    its samples are too few for the noise fit."""
+    grid = time_grid(cfg, dt)
+    noise_tail_start(grid.n_steps + 1)
+    return grid
+
+
 def run_transient(cfg: ExperimentConfig, system, drive: str, mode: str, dt: float) -> TimeSeries:
     """One foil-winding run: compose the two-branch netlist, stamp, integrate."""
     netlist = parse_netlist(f"{source_line(cfg, drive)}\nFW1 1 0 FILE <memory> MODE {mode}")
@@ -224,13 +239,28 @@ class NoiseMetric:
     ratio: float
 
 
-def noise_metric(times, values, frequency) -> NoiseMetric:
-    """Fit the fundamental and harmonics over the run's tail; see :class:`NoiseMetric`.
+def noise_tail_start(n_samples: int) -> int:
+    """Index of the first sample of the noise fit's tail in a trace of ``n_samples`` samples.
 
     Raises :class:`ValidationError` (key ``duration``) when the tail has fewer
     samples than the fit has columns, since such a fit is underdetermined.
     """
-    n0 = int(round(len(times) * (1.0 - NOISE_TAIL)))
+    n0 = int(round(n_samples * (1.0 - NOISE_TAIL)))
+    if n_samples - n0 < NOISE_FIT_COLUMNS:
+        raise ValidationError(
+            f"the noise fit needs {NOISE_FIT_COLUMNS} samples in the last {NOISE_TAIL:.0%} of "
+            f"the run, got {n_samples - n0}; lengthen the duration",
+            key="duration",
+        )
+    return n0
+
+
+def noise_metric(times, values, frequency) -> NoiseMetric:
+    """Fit the fundamental and harmonics over the run's tail; see :class:`NoiseMetric`.
+
+    The tail starts at :func:`noise_tail_start`, which rejects a trace too short for the fit.
+    """
+    n0 = noise_tail_start(len(times))
     t = np.asarray(times)[n0:]
     y = np.asarray(values)[n0:]
     columns = [np.ones_like(t)]
@@ -238,12 +268,6 @@ def noise_metric(times, values, frequency) -> NoiseMetric:
         w = 2.0 * math.pi * k * frequency
         columns.append(np.sin(w * t))
         columns.append(np.cos(w * t))
-    if t.size < len(columns):
-        raise ValidationError(
-            f"the noise fit needs {len(columns)} samples in the last {NOISE_TAIL:.0%} of the "
-            f"run, got {t.size}; lengthen the duration",
-            key="duration",
-        )
     design = np.column_stack(columns)
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     amplitude = math.hypot(coeffs[1], coeffs[2])
@@ -287,7 +311,7 @@ def run_fig4(cfg: ExperimentConfig, out_dir) -> dict:
     ``out_dir`` and returns the metrics text as ``results["report"]``.
     """
     for dt in FIG4_DTS:
-        time_grid(cfg, dt)
+        noise_fit_grid(cfg, dt)
     system = build_system(cfg, build_mesh(cfg, FINE_LEVEL))[0]
     series, metrics = {}, {}
     for drive in ("i", "v"):
@@ -389,7 +413,7 @@ def run_classify(cfg: ExperimentConfig) -> str:
 
 def demo_inductor(cfg: ExperimentConfig) -> str:
     """Lumped-inductor demonstrations: convergence order and noise amplification."""
-    noise_grid = time_grid(cfg, cfg.dt)
+    noise_grid = noise_fit_grid(cfg, cfg.dt)
     l_val = 1.0e-3
     net = parse_netlist(f"V1 1 0 SIN {cfg.amplitude!r} {cfg.frequency!r}\nL1 1 0 {l_val!r}")
     dae = mna_stamp(net)

@@ -2,12 +2,14 @@
 
 Constant step size, one factorization of ``E/dt + A`` per run, deterministic
 output.  Every run starts from the all-zero state, checked against the
-algebraic rows by :func:`consistent_zero_start`.  The loop keeps only the
-state entries the probes read; each probe's (i, v) trace is derived from them
-after the loop.  Divergence (a state entry whose magnitude is not at most
-``BLOWUP_BOUND``, which includes NaN and inf) is a reportable outcome, not an
-error: the integrator marks the step and returns the partial series so
-unstable configurations can be plotted.
+algebraic rows by :func:`consistent_zero_start`.  Each source waveform is
+evaluated once on the whole time grid and summed per row before the loop,
+which adds each row's value to the right-hand side as a scalar.  The loop
+keeps only the state entries the probes read; each probe's (i, v) trace is
+derived from them after the loop.  Divergence (a state entry whose magnitude
+is not at most ``BLOWUP_BOUND``, which includes NaN and inf) is a reportable
+outcome, not an error: the integrator marks the step and returns the partial
+series so unstable configurations can be plotted.
 """
 
 from __future__ import annotations
@@ -98,6 +100,11 @@ def consistent_zero_start(dae: DAESystem, t0: float) -> np.ndarray:
 def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSeries:
     """March ``(E/dt + A) y_next = (E/dt) y + s(t_next)`` from the zero state.
 
+    ``s`` is :meth:`DAESystem.row_sources` on the whole grid, evaluated once:
+    each step adds each source row's value to ``(E/dt) y`` as a scalar.  This
+    is bit for bit the sum with the full vector ``s``, whose other rows hold
+    +0.0: each entry of the sparse product is a sum from +0.0, which is never
+    -0.0, so adding +0.0 changes no bit.
     After the loop, R, C and I probes derive their current (``v / R``, the
     backward difference ``C dv/dt``, which is 0 at step 0, and the source
     waveform on the time grid); L, V and FW probes read theirs from the state.
@@ -120,12 +127,16 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
     watched = np.asarray(watched, dtype=np.intp)
     recorded = np.zeros((n_steps + 1, len(watched) + 1))  # row 0 is the zero start
 
+    sources = list(dae.row_sources(times).items())
     y = consistent_zero_start(dae, cfg.t0)
     diverged_at = None
     for k in range(1, n_steps + 1):
-        y = lhs.solve(e_over_dt @ y + dae.source(times[k]))
+        rhs = e_over_dt @ y
+        for row, values in sources:
+            rhs[row] += values[k]
+        y = lhs.solve(rhs)
         recorded[k, :-1] = y[watched]
-        if not np.max(np.abs(y)) <= BLOWUP_BOUND:
+        if not np.abs(y).max() <= BLOWUP_BOUND:
             diverged_at = k
             break
 

@@ -272,9 +272,17 @@ def loop_refine_uniform(mesh):
 # --- loop form of the implicit-Euler stepper ------------------------------------------
 #
 # The stepper as it was before it recorded only the probed state entries and derived the
-# probe traces after the loop: a per-step, per-probe read of the full state, with an
+# probe traces after the loop and evaluated the sources on the whole grid: a per-step
+# source vector summed branch by branch, a per-step, per-probe read of the full state, an
 # optional initial state and optional full-state snapshots every ``snapshot_stride``
 # steps.  ``integrate`` must reproduce its times, traces and divergence step bit for bit.
+
+
+def _loop_source(dae, t):
+    s = np.zeros(dae.E.shape[0])
+    for row, waveform, sign in dae.source_rows:
+        s[row] += sign * waveform(t)
+    return s
 
 
 def _loop_probe_values(probe, y, y_prev, dt, t):
@@ -327,7 +335,7 @@ def loop_integrate(dae, cfg, probe_names=None, initial_state=None, snapshot_stri
     diverged_at = None
     last = n_steps
     for k in range(1, n_steps + 1):
-        rhs = e_over_dt @ y + dae.source(times[k])
+        rhs = e_over_dt @ y + _loop_source(dae, times[k])
         y_next = lhs.solve(rhs)
         record(k, y_next, y)
         if not np.all(np.isfinite(y_next)) or float(np.max(np.abs(y_next))) > BLOWUP_BOUND:

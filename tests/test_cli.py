@@ -196,6 +196,7 @@ class TestProgramErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"foilfem: error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv, tail",
@@ -206,7 +207,15 @@ class TestProgramErrors:
         ],
         ids=["fig4", "simulate", "demo-inductor"],
     )
-    def test_underdetermined_noise_fit_is_one_line(self, argv, tail, tmp_path, capsys):
+    def test_underdetermined_noise_fit_is_one_line(
+        self, argv, tail, tmp_path, capsys, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the noise-fit length was checked")
+
+        for name in ("cli.build_mesh", "cli.build_system", "experiments.build_mesh",
+                     "experiments.build_system", "experiments.integrate"):
+            monkeypatch.setattr(f"foilfem.{name}", forbidden)
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -215,7 +224,7 @@ class TestProgramErrors:
             f"foilfem: error: the noise fit needs 9 samples in the last 60% of the run, "
             f"got {tail}; lengthen the duration\n"
         )
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_mesh_size_guard_is_one_line_before_any_tick(self, tmp_path, capsys, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -228,6 +237,18 @@ class TestProgramErrors:
         assert captured.err == (
             "foilfem: error: edge length h = 6.1846e-15 m gives 6.47e+12 x 1.23e+13 mesh nodes, "
             "above the 2000000 node guard\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["mesh", "gen"], ["classify"]], ids=["mesh-gen", "classify"])
+    def test_level_whose_edge_length_underflows_is_one_line(self, command, tmp_path, capsys):
+        # 0.85 mm halved 1097 times is below the smallest subnormal float
+        argv = [*command, "--mesh-level", "1100", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "foilfem: error: mesh_level 1100 halves the edge length below the smallest float\n"
         )
         assert not (tmp_path / "out").exists()
 

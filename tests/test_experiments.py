@@ -94,6 +94,15 @@ class TestConfig:
         coarse = build_mesh(ExperimentConfig(), 0)
         assert 80 <= coarse.n_nodes <= 150
 
+    def test_levels_below_the_float_range_name_the_key(self):
+        # halving stays exact down to the subnormals: 1067 is the last level above 0 m
+        assert mesh_edge_length(7) == 0.85e-3 / 16
+        assert mesh_edge_length(1067) > 0.0
+        for level in (1068, 1100, 10**400):
+            with pytest.raises(ValidationError) as exc:
+                mesh_edge_length(level)
+            assert exc.value.key == "mesh_level"
+
 
 class TestNoiseMetric:
     def test_pure_sine_has_negligible_noise(self):

@@ -249,6 +249,25 @@ ORACLE_CASES = {
         1e-4,
         ["L1"],
     ),
+    # two sources on one node, one into it and one out of it, on a node with a C (E row
+    # non-empty): the step must add their pre-summed value, not each in turn
+    "lumped-i-two-sources-one-node": (
+        lambda: lumped_dae(
+            "I1 1 0 PSIN 1 50 1e-3 6.2832e10\nI2 0 1 SIN 0.7 130\nC1 1 0 1e-6\n"
+            "R1 1 2 5\nL1 2 0 1e-3"
+        ),
+        1e-4,
+        None,
+    ),
+    # a floating V, whose source row is its current unknown, and an I on another node
+    "lumped-v-floating-source-row": (
+        lambda: lumped_dae(
+            "V1 2 1 PSIN 2 60 1e-3 6.2832e10\nR1 1 0 4\nL1 2 3 1e-3\nR2 3 0 1\n"
+            "I1 3 0 SIN 0.5 50"
+        ),
+        1e-4,
+        None,
+    ),
     "foil-i-Ge": (lambda: foil_dae("i", "Ge"), 1e-5, None),
     "foil-v-G": (lambda: foil_dae("v", "G"), 1e-4, None),
     "foil-i-exactG-hat-diverges": (lambda: foil_dae("i", "G", "hat", exact_g=True), 1e-4, None),
@@ -271,6 +290,21 @@ class TestLoopOracle:
             assert np.array_equal(series.currents[name], expected.currents[name]), name
             assert np.array_equal(series.voltages[name], expected.voltages[name]), name
         assert series.diverged_at == (69 if case.endswith("diverges") else None)
+
+    def test_source_is_evaluated_at_most_once_per_run(self, monkeypatch):
+        # the zero-start check may evaluate s(t0); the steps use the grid-wide source values
+        calls = []
+        source = DAESystem.source
+
+        def counted(dae, t):
+            calls.append(t)
+            return source(dae, t)
+
+        monkeypatch.setattr(DAESystem, "source", counted)
+        make_dae, dt, probe_names = ORACLE_CASES["lumped-i-two-sources-one-node"]
+        series = integrate(make_dae(), StepperConfig(t0=0.0, t_end=22.0e-3, dt=dt), probe_names)
+        assert len(series.times) == 221
+        assert len(calls) <= 1
 
     def test_probe_kinds_covered(self):
         kinds = {p.kind for make_dae, _, _ in ORACLE_CASES.values() for p in make_dae().probes.values()}
