@@ -34,6 +34,16 @@ sum and moves the last bits; the stacked row-vector product does not), and
 :func:`_scatter` feeds one COO accumulation in element-major ``(e, a, b)``
 order, so duplicates are summed in a fixed order.  The hat products are bitwise
 symmetric, so K and M are exactly symmetric.
+
+:func:`_scatter` drops the entries of constrained DoFs with one ``np.compress``
+over the flattened ``(n_blocks, m * 9)`` values, hands scipy int32 COO indices
+(scipy narrows wider ones to int32 anyway), stacks block offsets only when
+there is more than one block, and converts with ``coo.tocsr()``, which already
+sums the duplicates and sorts the columns, followed by ``eliminate_zeros()``;
+the result is the canonical CSR matrix of :func:`foilfem.linalg.canonical_csr`
+without its extra copy.  Material values are looked up once per region tag
+present (found with ``np.bincount``) and spread to the elements through a
+per-tag table.
 """
 
 from __future__ import annotations
@@ -44,7 +54,6 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import canonical_csr
 from .mesh import Mesh, RegionTag
 
 # Barycentric quadrature rules on the reference triangle; weights sum to 1.
@@ -190,41 +199,54 @@ def _hat_gradients(mesh: Mesh):
 
 
 def _per_element(regions: np.ndarray, materials: MaterialSpec, pick) -> np.ndarray:
-    """``pick(material)`` for every element, looked up once per region tag."""
-    tags, inverse = np.unique(regions, return_inverse=True)
-    table = np.array([pick(materials.material(tag)) for tag in tags], dtype=float)
-    return table[inverse]
+    """``pick(material)`` for every element, looked up once per region tag present."""
+    if regions.size and regions.min() < 0:
+        raise KeyError(f"no material for region tag {regions.min()}")
+    counts = np.bincount(regions)
+    table = np.zeros(counts.size)
+    tags = np.flatnonzero(counts)
+    table[tags] = [pick(materials.material(tag)) for tag in tags]
+    return table[regions]
 
 
 def _scatter(idx: np.ndarray, vals: np.ndarray, n_dofs: int) -> sp.csr_matrix:
-    """Sum element matrices into a CSR matrix of ``n_blocks`` stacked blocks.
+    """Sum element matrices into a canonical CSR matrix of ``n_blocks`` stacked blocks.
 
     ``idx`` is ``(m, 3)`` DoF indices (-1 for a constrained node) and ``vals``
     is ``(n_blocks, m, 9)``.  Block ``k`` fills rows ``k * n_dofs`` onward.
     Entries enter the COO in element-major ``(e, a, b)`` order.
     """
-    n_blocks, m = vals.shape[:2]
-    keep = ((idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)).reshape(m, 9)
-    rows = np.broadcast_to(idx[:, :, None], (m, 3, 3)).reshape(m, 9)[keep]
-    cols = np.broadcast_to(idx[:, None, :], (m, 3, 3)).reshape(m, 9)[keep]
-    offsets = n_dofs * np.arange(n_blocks)[:, None]
-    coo = sp.coo_matrix(
-        (vals[:, keep].ravel(), ((offsets + rows).ravel(), np.tile(cols, n_blocks))),
-        shape=(n_blocks * n_dofs, n_dofs),
-    )
-    return canonical_csr(coo)
+    n_blocks = vals.shape[0]
+    shape = (n_blocks * n_dofs, n_dofs)
+    idx = idx.astype(np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64)
+    rows, cols = np.repeat(idx, 3, axis=1).ravel(), np.tile(idx, 3).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    data = np.compress(keep, vals.reshape(n_blocks, -1), axis=1).ravel()
+    if n_blocks > 1:
+        rows = (n_dofs * np.arange(n_blocks, dtype=idx.dtype)[:, None] + rows).ravel()
+        cols = np.tile(cols, n_blocks)
+    csr = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+    csr.eliminate_zeros()
+    return csr
 
 
 def assemble_stiffness(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization) -> sp.csr_matrix:
-    """Curl-curl stiffness matrix; symmetric positive semidefinite."""
+    """Curl-curl stiffness matrix; symmetric positive semidefinite.
+
+    The element matrix ``2 pi area <1/r> (nu_r gz gz^T + nu_z gr gr^T)``, with
+    ``<1/r>`` the quadrature mean of ``1/r``, is built in place in one
+    ``(m, 3, 3)`` buffer.
+    """
     grad_r, grad_z = _hat_gradients(mesh)
     weights = QUADRATURE_RULES[disc.quad_degree][1]
     inv_r = np.einsum("q,mq->m", weights, 1.0 / disc.quad_r)
-    nu_r = _per_element(mesh.regions, materials, lambda mat: mat.nu[0])[:, None, None]
-    nu_z = _per_element(mesh.regions, materials, lambda mat: mat.nu[1])[:, None, None]
-    gz_gz = grad_z[:, :, None] * grad_z[:, None, :]
+    ke = grad_z[:, :, None] * grad_z[:, None, :]
+    ke *= _per_element(mesh.regions, materials, lambda mat: mat.nu[0])[:, None, None]
     gr_gr = grad_r[:, :, None] * grad_r[:, None, :]
-    ke = (TWO_PI * disc.areas * inv_r)[:, None, None] * (nu_r * gz_gz + nu_z * gr_gr)
+    gr_gr *= _per_element(mesh.regions, materials, lambda mat: mat.nu[1])[:, None, None]
+    ke += gr_gr
+    ke *= (TWO_PI * disc.areas * inv_r)[:, None, None]
     return _scatter(disc.dof_index[mesh.triangles], ke.reshape(1, -1, 9), disc.n_dofs)
 
 

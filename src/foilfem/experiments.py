@@ -97,8 +97,17 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not value > 0.0:  # also rejects NaN
                 raise ValidationError(f"{key} must be positive, got {value!r}", key=key)
-            if not math.isfinite(value):
-                raise ValidationError(f"{key} must be finite, got {value!r}", key=key)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value!r}", key=f.name)
+        for key in ("winding_conductivity", "yoke_conductivity"):
+            value = getattr(self, key)
+            if value < 0.0:
+                raise ValidationError(f"{key} must be nonnegative, got {value!r}", key=key)
+        if not self.yoke_permeability > 0.0:
+            message = f"yoke_permeability must be positive, got {self.yoke_permeability!r}"
+            raise ValidationError(message, key="yoke_permeability")
 
     def to_text(self) -> str:
         return "".join(f"{f.name} = {getattr(self, f.name)!r}\n" for f in fields(self))

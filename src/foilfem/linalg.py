@@ -11,8 +11,8 @@ are treated as immutable; every public function is re-entrant and a
 The direct solver is SuperLU with a fill-reducing column ordering.  Dense
 eigen/SVD routines are reserved for desk-scale diagnostics; callers enforce
 size guards.  Pseudo-inverses of singular mass matrices are never formed:
-:func:`restricted_spd_solve` applies them as an operator on the SPD support
-block.
+:class:`RestrictedSpdSolver` applies them as an operator on the SPD support
+block, to one right-hand side or to a block of them in one call.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ class RestrictedSpdSolver:
 
     The matrix restricted to ``support x support`` must be SPD; right-hand
     sides must vanish outside ``support``.  For such inputs the solve realizes
-    ``pinv(M) @ b`` without ever forming the pseudo-inverse.
+    ``pinv(M) @ b`` without ever forming the pseudo-inverse; ``b`` may be one
+    vector or an ``(n, k)`` block of them (see :meth:`solve`).
     """
 
     def __init__(self, m, support):
@@ -131,16 +132,26 @@ class RestrictedSpdSolver:
         self._block = block
 
     def solve(self, b) -> np.ndarray:
+        """``pinv(M) @ b`` for a vector ``b`` of length ``n`` or an ``(n, k)`` block.
+
+        A block is solved in one call, each column bit-identical to its own
+        vector solve.  Every column must vanish outside the support (to
+        ``RHS_RTOL`` of its norm), else :class:`InconsistentRhsError` names
+        the first bad column.
+        """
         b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise ValueError("rhs length mismatch")
-        b_norm = float(np.linalg.norm(b))
-        outside = float(np.linalg.norm(b[~self._mask]))
-        if outside > RHS_RTOL * b_norm:
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
+            raise ValueError(f"rhs of shape {b.shape} does not have {self.n} rows")
+        b_norm = np.linalg.norm(b, axis=0)
+        outside = np.linalg.norm(b[~self._mask], axis=0)
+        bad = np.flatnonzero(outside > RHS_RTOL * b_norm)
+        if bad.size:
+            column = f" column {bad[0]}" if b.ndim == 2 else ""
             raise InconsistentRhsError(
-                f"rhs norm outside support {outside:.3e} exceeds {RHS_RTOL:.1e} * ||b||"
+                f"rhs{column} norm outside support {np.ravel(outside)[bad[0]]:.3e} exceeds "
+                f"{RHS_RTOL:.1e} * ||b||"
             )
-        y = np.zeros(self.n)
+        y = np.zeros(b.shape)
         y[self.support] = self._lu.solve(b[self.support])
         return y
 

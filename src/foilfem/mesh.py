@@ -16,7 +16,7 @@ Mesh text format (ASCII, LF)::
     nodes <n>
     <r> <z>              # n lines, decimal floats
     triangles <m>
-    <i> <j> <k> <tag>    # m lines, CCW node indices + region tag
+    <i> <j> <k> <tag>    # m lines, CCW node indices + RegionTag value (0-3)
     boundary <b>
     <node index>         # b lines
 
@@ -93,16 +93,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _edge_keys(triangles: np.ndarray):
+    """Key ``a * n + b`` of every edge occurrence ``(ab, bc, ca)`` of each triangle, ``a < b``.
+
+    Returns the keys and ``n``, one more than the largest node index.
+    """
+    pairs = np.sort(triangles.astype(np.int64)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    n = int(pairs.max()) + 1 if pairs.size else 1
+    return pairs[:, 0] * n + pairs[:, 1], n
+
+
 def _edge_table(triangles: np.ndarray):
     """One ``np.unique`` pass over the edge occurrences ``(ab, bc, ca)`` of each triangle.
 
     Returns the ascending sorted node pairs ``(k, 2)``, each one's first
     occurrence, the edge of every occurrence and the adjacent-triangle counts.
     """
-    pairs = np.sort(triangles.astype(np.int64)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    n = int(pairs.max()) + 1 if pairs.size else 1
+    keys, n = _edge_keys(triangles)
     keys, first, inverse, counts = np.unique(
-        pairs[:, 0] * n + pairs[:, 1], return_index=True, return_inverse=True, return_counts=True
+        keys, return_index=True, return_inverse=True, return_counts=True
     )
     return np.column_stack([keys // n, keys % n]), first, inverse, counts
 
@@ -122,13 +131,22 @@ def validate_mesh(mesh: Mesh) -> None:
         raise ValidationError("nonpositive triangle area (orientation must be CCW)")
     if mesh.regions.shape[0] != mesh.n_triangles:
         raise ValidationError("region tag count mismatch")
+    unknown = mesh.regions[~np.isin(mesh.regions, list(RegionTag))]
+    if unknown.size:
+        raise ValidationError(f"unknown region tag {int(unknown[0])}")
     if mesh.boundary.shape[0] != mesh.n_nodes:
         raise ValidationError("boundary flag count mismatch")
-    edges, _, _, counts = _edge_table(mesh.triangles)
-    bad = edges[counts > 2]
+    keys, n = _edge_keys(mesh.triangles)
+    keys, counts = np.unique(keys, return_counts=True)
+    bad = keys[counts > 2]
     if bad.size:
-        raise ValidationError(f"non-conforming edge shared by >2 triangles: {tuple(bad[0].tolist())}")
-    if not np.array_equal(np.unique(edges[counts == 1]), np.flatnonzero(mesh.boundary)):
+        edge = (int(bad[0] // n), int(bad[0] % n))
+        raise ValidationError(f"non-conforming edge shared by >2 triangles: {edge}")
+    on_boundary_edge = np.zeros(mesh.n_nodes, dtype=bool)
+    single = keys[counts == 1]
+    on_boundary_edge[single // n] = True
+    on_boundary_edge[single % n] = True
+    if not np.array_equal(on_boundary_edge, mesh.boundary):
         raise ValidationError("boundary flags do not match topological boundary")
 
 
@@ -298,7 +316,7 @@ def generate_parametric_mesh(geom: GeometrySpec, h: float) -> Mesh:
             f"above the {MAX_NODES} node guard"
         )
     mesh = tensor_mesh(_ticks(r_breaks, h), _ticks(z_breaks, h), geom.region_of)
-    present = set(int(t) for t in np.unique(mesh.regions))
+    present = set(np.flatnonzero(np.bincount(mesh.regions)).tolist())
     expected = {int(t) for t in RegionTag}
     if present != expected:
         missing = sorted(expected - present)
@@ -346,7 +364,13 @@ def write_mesh(mesh: Mesh) -> str:
 
 
 def read_mesh(text: str) -> Mesh:
-    """Parse the plain-text mesh format; inverse of :func:`write_mesh`."""
+    """Parse the plain-text mesh format; inverse of :func:`write_mesh`.
+
+    Raises :class:`ParseError` with the line of the first malformed entry, a
+    region tag outside :class:`RegionTag` included, and
+    :class:`ValidationError` when the parsed mesh breaks an invariant of
+    :func:`validate_mesh`.
+    """
     lines = text.splitlines()
     pos = 0
 
@@ -382,7 +406,7 @@ def read_mesh(text: str) -> Mesh:
             nodes[i] = (float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise ParseError(f"bad coordinate in {raw!r}", line=ln) from exc
-    m, _ = take_count("triangles")
+    m, triangles_line = take_count("triangles")
     tris = np.empty((m, 3), dtype=np.int32)
     tags = np.empty(m, dtype=np.int32)
     for i in range(m):
@@ -396,6 +420,10 @@ def read_mesh(text: str) -> Mesh:
             raise ParseError(f"bad index in {raw!r}", line=ln) from exc
         tris[i] = vals[:3]
         tags[i] = vals[3]
+    unknown = np.flatnonzero(~np.isin(tags, list(RegionTag)))
+    if unknown.size:
+        i = int(unknown[0])
+        raise ParseError(f"unknown region tag {tags[i]}", line=triangles_line + 1 + i)
     b, _ = take_count("boundary")
     boundary = np.zeros(n, dtype=bool)
     for _ in range(b):

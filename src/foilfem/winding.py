@@ -199,8 +199,16 @@ def profile_for(spec: FoilWindingSpec, basis: VoltageBasis, l: int) -> Callable:
     return profile
 
 
+def _marked_nodes(mesh: Mesh, elements: np.ndarray) -> np.ndarray:
+    """Boolean ``(n_nodes,)`` flag of the nodes of the chosen elements."""
+    marked = np.zeros(mesh.n_nodes, dtype=bool)
+    marked[mesh.triangles[elements]] = True
+    return marked
+
+
 def winding_nodes(mesh: Mesh) -> np.ndarray:
-    nodes = np.unique(mesh.triangles[mesh.regions == int(RegionTag.FOIL_WINDING)])
+    """Ascending indices of the nodes of winding-tagged elements."""
+    nodes = np.flatnonzero(_marked_nodes(mesh, mesh.regions == int(RegionTag.FOIL_WINDING)))
     if nodes.size == 0:
         raise EmptyWindingError("mesh has no winding-tagged elements")
     return nodes
@@ -223,8 +231,8 @@ def distribution_coefficients(mesh: Mesh, disc: FieldDiscretization) -> np.ndarr
 def conductive_support(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization) -> np.ndarray:
     """DoF indices adjacent to at least one conductive element."""
     conductive = conductivities(mesh, materials) != 0.0
-    dofs = disc.dof_index[np.unique(mesh.triangles[conductive])]
-    return np.sort(dofs[dofs >= 0]).astype(np.intp)
+    dofs = disc.dof_index[_marked_nodes(mesh, conductive)]  # ascending: DoFs follow node order
+    return dofs[dofs >= 0].astype(np.intp, copy=False)
 
 
 def assemble_c(n_turns: int, basis: VoltageBasis) -> np.ndarray:
@@ -298,12 +306,11 @@ def assemble_G_exact(spec: FoilWindingSpec, basis: VoltageBasis) -> np.ndarray:
 def assemble_G_consistent(M: sp.csr_matrix, X: np.ndarray, support: np.ndarray):
     """FE-space-consistent conductance via the mass pseudo-inverse.
 
-    Solves ``M e_l = X[:, l]`` on the conductive support for every column and
-    returns ``(G_e, E)`` with ``G_e = X^T E`` symmetrized by averaging.
+    Solves ``M e_l = X[:, l]`` on the conductive support for every column, in
+    one multi-column solve, and returns ``(G_e, E)`` with ``G_e = X^T E``
+    symmetrized by averaging.
     """
-    solver = RestrictedSpdSolver(M, support)
-    e_cols = [solver.solve(X[:, l]) for l in range(X.shape[1])]
-    E = np.column_stack(e_cols)
+    E = RestrictedSpdSolver(M, support).solve(X)
     ge = X.T @ E
     ge = 0.5 * (ge + ge.T)
     return ge, E

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from foilfem.assembly import QUADRATURE_RULES, TWO_PI
 from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
 from foilfem.errors import SingularMatrixError, SingularSystemAtStepError
-from foilfem.linalg import canonical_csr, sparse_factorize
+from foilfem.linalg import RestrictedSpdSolver, canonical_csr, sparse_factorize
 from foilfem.mesh import GeometrySpec, Mesh, RegionTag, validate_mesh
 from foilfem.timestepper import BLOWUP_BOUND, TimeSeries, consistent_zero_start
 from foilfem.winding import (
@@ -67,8 +67,9 @@ def brute_force_li_bonds(net, field_classes=None):
 # --- loop forms of the batched assembly and mesher -------------------------------------
 #
 # These are the per-element and per-cell loops the package used before its assembly and
-# mesher were batched.  The batched code must reproduce K, M, X, the support and every
-# mesh array bit for bit, and G to round-off.
+# mesher were batched, and the per-column solve it used before G_e took one block solve.
+# The batched code must reproduce K, M, X, the support, G_e, E and every mesh array bit
+# for bit, and G to round-off.
 
 def _loop_accumulate(rows, cols, vals, n_dofs):
     if not rows:
@@ -187,6 +188,14 @@ def loop_conductive_support(mesh, materials, disc):
             nodes.update(int(n) for n in mesh.triangles[e])
     dofs = disc.dof_index[sorted(nodes)]
     return np.asarray(sorted(int(d) for d in dofs if d >= 0), dtype=np.intp)
+
+
+def loop_assemble_G_consistent(M, X, support):
+    """``(G_e, E)`` with one vector solve per column of ``X``, as before the block solve."""
+    solver = RestrictedSpdSolver(M, support)
+    E = np.column_stack([solver.solve(X[:, l]) for l in range(X.shape[1])])
+    ge = X.T @ E
+    return 0.5 * (ge + ge.T), E
 
 
 def scalar_region_of(geom: GeometrySpec, r: float, z: float) -> RegionTag:

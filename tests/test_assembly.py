@@ -16,6 +16,7 @@ from foilfem.assembly import (
 from foilfem.linalg import max_abs, sparse_factorize
 from foilfem.mesh import (
     GeometrySpec,
+    Mesh,
     RegionTag,
     generate_parametric_mesh,
     rectangle_mesh,
@@ -125,6 +126,19 @@ class TestStiffness:
         diffs = np.abs(np.diff(energies))
         assert diffs[1] < diffs[0]
         assert diffs[2] < diffs[1]
+
+
+class TestMaterialLookup:
+    @pytest.mark.parametrize("tag", [int(RegionTag.YOKE), 9, -5])
+    def test_tag_missing_from_the_table_raises_key_error(self, tag):
+        # a hand-built mesh skips validate_mesh, so the table lookup is the check
+        square = far_square(h=0.5)
+        regions = square.regions.copy()
+        regions[1] = tag
+        mesh = Mesh(square.nodes, square.triangles, regions, square.boundary)
+        for assemble in (assemble_stiffness, assemble_mass):
+            with pytest.raises(KeyError, match=f"no material for region tag {tag}"):
+                assemble(mesh, AIR_ONLY, all_free(mesh))
 
 
 class TestMass:

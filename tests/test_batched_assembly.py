@@ -1,7 +1,7 @@
 """The batched assembly and mesher against their loop forms in ``oracles.py``.
 
-K, M, X, Ge, the conductive support and every mesh array must be bit-identical
-to the loop forms, dtypes included; G is a different quadrature sum of the
+K, M, X, Ge, E, the conductive support and every mesh array must be
+bit-identical to the loop forms, dtypes included; G is a different quadrature sum of the
 same integrand and must agree to round-off.
 """
 
@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from oracles import (
+    loop_assemble_G_consistent,
     loop_assemble_G_original,
     loop_assemble_mass,
     loop_assemble_stiffness,
@@ -34,7 +35,6 @@ from foilfem.experiments import ExperimentConfig, build_geometry, build_mesh, bu
 from foilfem.linalg import max_abs
 from foilfem.mesh import RegionTag, rectangle_mesh, refine_uniform, tensor_mesh
 from foilfem.winding import (
-    assemble_G_consistent,
     assemble_G_original,
     assemble_X,
     conductive_support,
@@ -42,7 +42,8 @@ from foilfem.winding import (
     solid_from_foil,
 )
 
-CASES = [(level, family) for level in (0, 1) for family in ("legendre", "hat")]
+# levels 0-1 for both families, and level 2 with the hat basis (the ladder's hat rung)
+CASES = [(level, family) for level in (0, 1) for family in ("legendre", "hat")] + [(2, "hat")]
 
 
 def assert_identical(a, b):
@@ -155,7 +156,7 @@ class TestAssembly:
         loop_support = loop_conductive_support(mesh, materials, disc)
         assert_identical(system.X, loop_x)
         assert_identical(system.support, loop_support)
-        loop_ge, loop_e = assemble_G_consistent(loop_m, loop_x, loop_support)
+        loop_ge, loop_e = loop_assemble_G_consistent(loop_m, loop_x, loop_support)
         assert_identical(system.G_e, loop_ge)
         assert_identical(system.E, loop_e)
 

@@ -83,6 +83,23 @@ class TestMeshCommands:
         assert refined.n_triangles == 4 * mesh.n_triangles
 
 
+    @pytest.mark.parametrize("action", ["info", "refine"])
+    def test_unknown_region_tags_are_rejected_with_their_line(self, action, tmp_path, capsys):
+        run_cli(capsys, "mesh", "gen", "--mesh-level", "0", "--out", str(tmp_path))
+        mesh_path = tmp_path / "mesh_level0.txt"
+        lines = mesh_path.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("triangles")) + 1
+        for row, tag in ((first + 4, -5), (first + 7, 9)):
+            lines[row] = " ".join(lines[row].split()[:3] + [str(tag)])
+        mesh_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["mesh", action, "--mesh", str(mesh_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"foilfem: error: unknown region tag -5 (line {first + 5})\n"
+        assert not out.exists()
+
+
 class TestAssembleCommand:
     def test_assemble_writes_loadable_system(self, tmp_path, capsys):
         out = run_cli(capsys, "assemble", "--mesh-level", "0", "--out", str(tmp_path), "--mtx")
@@ -152,6 +169,36 @@ class TestProgramErrors:
         assert captured.err.startswith("foilfem: error: ") and captured.err.count("\n") == 1
         assert message in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("winding_conductivity", "nan", "winding_conductivity must be finite, got nan"),
+            ("winding_conductivity", "inf", "winding_conductivity must be finite, got inf"),
+            ("yoke_permeability", "nan", "yoke_permeability must be finite, got nan"),
+            ("yoke_permeability", "-5", "yoke_permeability must be positive, got -5.0"),
+            ("yoke_permeability", "0", "yoke_permeability must be positive, got 0.0"),
+            ("yoke_conductivity", "-1", "yoke_conductivity must be nonnegative, got -1.0"),
+            ("winding_conductivity", "-6e7",
+             "winding_conductivity must be nonnegative, got -60000000.0"),
+            ("amplitude", "-inf", "amplitude must be finite, got -inf"),
+        ],
+    )
+    def test_bad_material_value_is_one_line_naming_its_config_line(
+        self, key, value, message, tmp_path, capsys, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("meshed before the configuration was checked")
+
+        monkeypatch.setattr("foilfem.cli.build_mesh", forbidden)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"mesh_level = 0\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["assemble", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"foilfem: error: {message} (line 2)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, dt, message",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from foilfem.errors import InconsistentRhsError, SingularMatrixError
 from foilfem.linalg import (
+    RestrictedSpdSolver,
     canonical_csr,
     nullspace_basis,
     rank,
@@ -106,6 +107,38 @@ class TestRestrictedSpdSolve:
         m = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(SingularMatrixError):
             restricted_spd_solve(m, np.array([1.0, 1.0]), [0, 1])
+
+    @staticmethod
+    def _block_problem(seed, n=7, k=4, n_rhs=5):
+        rng = np.random.default_rng(seed)
+        support = np.sort(rng.choice(n, size=k, replace=False))
+        m = np.zeros((n, n))
+        m[np.ix_(support, support)] = random_spd(k, rng)
+        b = np.zeros((n, n_rhs))
+        b[support] = rng.standard_normal((k, n_rhs))
+        return RestrictedSpdSolver(canonical_csr(m), support), b
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_block_rhs_columns_match_vector_solves_bit_for_bit(self, seed):
+        solver, b = self._block_problem(seed)
+        y = solver.solve(b)
+        assert y.shape == b.shape and y.dtype == np.float64
+        for l in range(b.shape[1]):
+            assert np.array_equal(y[:, l], solver.solve(b[:, l]))
+
+    def test_block_rhs_with_one_bad_column_raises(self):
+        solver, b = self._block_problem(0)
+        outside = np.flatnonzero(~np.isin(np.arange(solver.n), solver.support))[0]
+        b[outside, 3] = 1.0
+        with pytest.raises(InconsistentRhsError, match="column 3"):
+            solver.solve(b)
+        solver.solve(np.delete(b, 3, axis=1))  # the other columns are consistent
+
+    @pytest.mark.parametrize("shape", [(6, 5), (8, 5), (6,), (7, 2, 2)])
+    def test_rhs_with_wrong_rows_or_rank_raises(self, shape):
+        solver, _ = self._block_problem(0)
+        with pytest.raises(ValueError, match="rows"):
+            solver.solve(np.zeros(shape))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))

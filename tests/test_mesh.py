@@ -156,6 +156,24 @@ class TestMeshFormat:
             read_mesh("\n".join(lines) + "\n")
         assert err.value.line == tri_header + 2
 
+    @pytest.mark.parametrize("tag", [-5, 4, 9])
+    def test_unknown_region_tag_raises_with_line(self, tag):
+        lines = write_mesh(rectangle_mesh(0.0, 1.0, 0.0, 1.0, h=0.5)).splitlines()
+        tri_header = next(i for i, line in enumerate(lines) if line.startswith("triangles"))
+        corrupt = tri_header + 3
+        lines[corrupt] = " ".join(lines[corrupt].split()[:3] + [str(tag)])
+        with pytest.raises(ParseError, match=f"unknown region tag {tag}") as err:
+            read_mesh("\n".join(lines) + "\n")
+        assert err.value.line == corrupt + 1
+
+    @pytest.mark.parametrize("tag", [-5, 4, 9])
+    def test_validate_rejects_unknown_region_tag(self, tag):
+        mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, h=0.5)
+        regions = mesh.regions.copy()
+        regions[-1] = tag
+        with pytest.raises(ValidationError, match=f"unknown region tag {tag}"):
+            validate_mesh(Mesh(mesh.nodes, mesh.triangles, regions, mesh.boundary))
+
     def test_truncated_raises(self):
         with pytest.raises(ParseError):
             read_mesh("foilmesh v1\nnodes 2\n0.0 0.0\n")
