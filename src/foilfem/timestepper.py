@@ -5,11 +5,15 @@ output.  Every run starts from the all-zero state, checked against the
 algebraic rows by :func:`consistent_zero_start`.  Each source waveform is
 evaluated once on the whole time grid and summed per row before the loop,
 which adds each row's value to the right-hand side as a scalar.  The loop
-keeps only the state entries the probes read; each probe's (i, v) trace is
-derived from them after the loop.  Divergence (a state entry whose magnitude
-is not at most ``BLOWUP_BOUND``, which includes NaN and inf) is a reportable
-outcome, not an error: the integrator marks the step and returns the partial
-series so unstable configurations can be plotted.
+steps in blocks of ``BLOCK_STEPS`` states: it writes each state into a
+preallocated block and, once per block, copies the state entries the probes
+read and tests the block for divergence; each probe's (i, v) trace is derived
+from the copied entries after the loop.  Divergence (a state entry whose
+magnitude is not at most ``BLOWUP_BOUND``, which includes NaN and inf) is a
+reportable outcome, not an error: the integrator marks the first diverged
+step and returns the partial series up to it, so unstable configurations can
+be plotted.  The steps after it in its block (up to ``BLOCK_STEPS - 1 = 63``)
+are solved too and thrown away.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ from .errors import (
     SingularSystemAtStepError,
     ValidationError,
 )
-from .linalg import sparse_factorize
+from .linalg import csr_product, sparse_factorize
 
 MAX_STEPS = 10_000_000
 BLOWUP_BOUND = 1e12  # a state entry beyond this magnitude marks divergence
+BLOCK_STEPS = 64  # states stepped between two divergence tests and probe copies
 ZERO_START_ATOL = 1e-12  # largest source magnitude a zero start leaves on an algebraic row
 GRID_RTOL = 1e-9  # how far n_steps * dt may miss the duration, relative to it
 
@@ -104,7 +109,14 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
     each step adds each source row's value to ``(E/dt) y`` as a scalar.  This
     is bit for bit the sum with the full vector ``s``, whose other rows hold
     +0.0: each entry of the sparse product is a sum from +0.0, which is never
-    -0.0, so adding +0.0 changes no bit.
+    -0.0, so adding +0.0 changes no bit.  The product is
+    :func:`~foilfem.linalg.csr_product`, bit for bit ``(E/dt) @ y``.
+    The states go into a block of ``BLOCK_STEPS`` rows.  After each block,
+    one test of ``max|y| <= BLOWUP_BOUND`` per state finds the first diverged
+    step, if any, and one copy moves the probed entries into the trace table.
+    A run that diverges is cut at that step, exactly as a test after every
+    step would cut it; the up to 63 later steps of its block are solved and
+    thrown away.
     After the loop, R, C and I probes derive their current (``v / R``, the
     backward difference ``C dv/dt``, which is 0 at step 0, and the source
     waveform on the time grid); L, V and FW probes read theirs from the state.
@@ -127,17 +139,24 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
     watched = np.asarray(watched, dtype=np.intp)
     recorded = np.zeros((n_steps + 1, len(watched) + 1))  # row 0 is the zero start
 
-    sources = list(dae.row_sources(times).items())
+    product, solve = csr_product(e_over_dt), lhs.solve
+    sources = [(row, values.tolist()) for row, values in dae.row_sources(times).items()]
     y = consistent_zero_start(dae, cfg.t0)
+    block = np.empty((min(BLOCK_STEPS, n_steps), y.shape[0]))
     diverged_at = None
-    for k in range(1, n_steps + 1):
-        rhs = e_over_dt @ y
-        for row, values in sources:
-            rhs[row] += values[k]
-        y = lhs.solve(rhs)
-        recorded[k, :-1] = y[watched]
-        if not np.abs(y).max() <= BLOWUP_BOUND:
-            diverged_at = k
+    for start in range(1, n_steps + 1, BLOCK_STEPS):
+        stop = min(start + BLOCK_STEPS, n_steps + 1)
+        states = block[: stop - start]
+        for j, k in enumerate(range(start, stop)):
+            rhs = product(y)
+            for row, values in sources:
+                rhs[row] += values[k]
+            y = solve(rhs)
+            states[j] = y
+        recorded[start:stop, :-1] = states[:, watched]
+        bounded = np.abs(states).max(axis=1) <= BLOWUP_BOUND
+        if not bounded.all():
+            diverged_at = start + int(np.argmin(bounded))
             break
 
     keep = n_steps + 1 if diverged_at is None else diverged_at + 1

@@ -1,16 +1,25 @@
 """Unit and property tests for the linear-algebra kernels."""
 
+import inspect
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foilfem
+from foilfem.circuit import mna_stamp, parse_netlist
 from foilfem.errors import InconsistentRhsError, SingularMatrixError
+from foilfem.experiments import ExperimentConfig, build_mesh, build_system, source_line
 from foilfem.linalg import (
     RestrictedSpdSolver,
     canonical_csr,
+    csr_product,
     nullspace_basis,
     rank,
     restricted_spd_solve,
@@ -155,6 +164,86 @@ class TestRestrictedSpdSolve:
         back = restricted_spd_solve(canonical_csr(m), my, support)
         lhs = m @ back
         assert np.linalg.norm(lhs - my) <= 1e-9 * max(np.linalg.norm(my), 1e-30)
+
+
+@cache
+def built_system(level, basis_family="legendre"):
+    cfg = ExperimentConfig(basis_family=basis_family)
+    return build_system(cfg, build_mesh(cfg, level))[0]
+
+
+def unique_support_G_consistent(M, X, support):
+    """``(G_e, E)`` as built when the solver ran ``np.unique`` on its support."""
+    support = np.unique(support)
+    block = canonical_csr(M)[np.ix_(support, support)].tocsc()
+    lu = spla.splu(
+        block, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+    E = np.zeros(X.shape)
+    E[support] = lu.solve(X[support])
+    ge = X.T @ E
+    return 0.5 * (ge + ge.T), E
+
+
+class TestRestrictedSupport:
+    @pytest.mark.parametrize(
+        "support, message",
+        [([2, 0], "strictly increasing"), ([0, 2, 2], "strictly increasing"), ([], "empty")],
+        ids=["unsorted", "duplicated", "empty"],
+    )
+    def test_support_must_be_strictly_increasing(self, support, message):
+        m = sp.diags([2.0, 0.0, 3.0]).tocsr()
+        with pytest.raises(ValueError, match=message):
+            RestrictedSpdSolver(m, support)
+
+    @pytest.mark.parametrize("basis_family", ["legendre", "hat"])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_built_E_and_Ge_match_the_unique_support_path(self, level, basis_family):
+        system = built_system(level, basis_family)
+        assert np.all(np.diff(system.support) > 0)
+        ge, e = unique_support_G_consistent(system.M, system.X, system.support)
+        assert system.E.tobytes() == e.tobytes()
+        assert system.G_e.tobytes() == ge.tobytes()
+
+
+class TestCsrProduct:
+    @pytest.mark.parametrize("dt", [1e-4, 1e-5])
+    @pytest.mark.parametrize("drive", ["i", "v"])
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_matches_matmul_on_stamped_daes_bit_for_bit(self, level, drive, dt):
+        net = parse_netlist(f"{source_line(ExperimentConfig(), drive)}\nFW1 1 0 FILE <m> MODE Ge")
+        dae = mna_stamp(net, field_systems={"<m>": built_system(level)})
+        a = dae.E.multiply(1.0 / dt).tocsr()
+        rng = np.random.default_rng(level)
+        # magnitudes over 16 decades, so a different summation order would show in the bits
+        x = rng.standard_normal(a.shape[1]) * 10.0 ** rng.integers(-8, 8, a.shape[1])
+        assert csr_product(a)(x).tobytes() == (a @ x).tobytes()
+
+    def test_matches_matmul_with_empty_rows_bit_for_bit(self):
+        a = sp.csr_matrix(np.array([
+            [0.0, 0.0, 0.0, 0.0],
+            [1.5, 0.0, -2.0, 1e-300],
+            [0.0, 0.0, 0.0, 0.0],
+            [-3.0, 1e16, 0.0, 0.5],
+            [0.0, 0.0, 0.0, 0.0],
+        ]))
+        x = np.array([-0.0, 1.0, 3.0, -7.0])
+        y = csr_product(a)(x)
+        assert y.tobytes() == (a @ x).tobytes()
+        assert not np.any(np.signbit(y[[0, 2, 4]]))  # an empty row sums to +0.0
+
+    def test_rejects_what_the_kernel_would_misread(self):
+        a = sp.eye(3, format="csr")
+        with pytest.raises(ValueError, match="3 entries"):
+            csr_product(a)(np.ones(2))
+        for bad in (a.tocsc(), a.astype(np.float32), a.toarray()):
+            with pytest.raises(ValueError, match="float64 CSR"):
+                csr_product(bad)
+
+    def test_only_the_helper_names_the_private_kernel(self):
+        package = Path(foilfem.__file__).parent
+        named = sum(path.read_text().count("_sparsetools") for path in package.glob("*.py"))
+        assert named == inspect.getsource(csr_product).count("_sparsetools") > 0
 
 
 class TestNullspaceBasis:

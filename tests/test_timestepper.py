@@ -22,7 +22,7 @@ from foilfem.errors import (
     ValidationError,
 )
 from foilfem.experiments import ExperimentConfig, build_mesh, build_system, source_line
-from foilfem.timestepper import StepperConfig, consistent_zero_start, integrate
+from foilfem.timestepper import BLOCK_STEPS, StepperConfig, consistent_zero_start, integrate
 from foilfem.winding import assemble_G_exact
 
 from oracles import loop_integrate
@@ -211,6 +211,42 @@ class TestDivergenceHandling:
             integrate(dae, StepperConfig(t0=0.0, t_end=1.0, dt=0.1))
 
 
+def assert_same_series(series, expected):
+    assert series.diverged_at == expected.diverged_at
+    assert np.array_equal(series.times, expected.times)
+    assert list(series.currents) == list(expected.currents)
+    for name in expected.currents:
+        assert series.currents[name].tobytes() == expected.currents[name].tobytes(), name
+        assert series.voltages[name].tobytes() == expected.voltages[name].tobytes(), name
+
+
+class TestDivergenceAtBlockEdges:
+    # dy/dt = rate y + 1 at dt = 1 grows by 1/(1 - rate) per step; each rate puts the first
+    # step beyond BLOWUP_BOUND at the named place among the blocks of BLOCK_STEPS = 64 states
+    @pytest.mark.parametrize(
+        "rate, n_steps, diverged_at",
+        [
+            (0.9999999999999, 100, 1),
+            (0.342, 200, 64),
+            (0.3375, 200, 65),
+            (0.169, 150, 140),
+            (0.6, 40, 30),
+            (-1.0, 128, None),
+        ],
+        ids=["first-step", "last-of-first-block", "first-of-second-block",
+             "inside-final-partial-block", "run-shorter-than-a-block", "bounded-two-full-blocks"],
+    )
+    def test_cut_matches_the_loop_bit_for_bit(self, rate, n_steps, diverged_at):
+        assert BLOCK_STEPS == 64  # the cases sit at the edges of 64-state blocks
+        dae = scalar_system(rate)
+        cfg = StepperConfig(t0=0.0, t_end=float(n_steps), dt=1.0)
+        series = integrate(dae, cfg)
+        expected, _ = loop_integrate(dae, cfg)
+        assert expected.diverged_at == diverged_at
+        assert_same_series(series, expected)
+        assert len(series.times) == (n_steps if diverged_at is None else diverged_at) + 1
+
+
 @cache
 def coarse_foil_system(basis_family, exact_g=False):
     cfg = ExperimentConfig(basis_family=basis_family)
@@ -282,13 +318,8 @@ class TestLoopOracle:
         cfg = StepperConfig(t0=0.0, t_end=22.0e-3, dt=dt)
         series = integrate(dae, cfg, probe_names)
         expected, _ = loop_integrate(dae, cfg, probe_names)
-        names = list(dae.probes) if probe_names is None else probe_names
-        assert series.diverged_at == expected.diverged_at
-        assert np.array_equal(series.times, expected.times)
-        assert list(series.currents) == list(expected.currents) == names
-        for name in names:
-            assert np.array_equal(series.currents[name], expected.currents[name]), name
-            assert np.array_equal(series.voltages[name], expected.voltages[name]), name
+        assert list(series.currents) == (list(dae.probes) if probe_names is None else probe_names)
+        assert_same_series(series, expected)
         assert series.diverged_at == (69 if case.endswith("diverges") else None)
 
     def test_source_is_evaluated_at_most_once_per_run(self, monkeypatch):
