@@ -148,13 +148,7 @@ def parse_netlist(text: str) -> Netlist:
     """Parse and structurally validate a netlist."""
     branches = []
     names = set()
-    nodes: list = []
-    seen_nodes = set()
-
-    def note_node(n):
-        if n != "0" and n not in seen_nodes:
-            seen_nodes.add(n)
-            nodes.append(n)
+    nodes: dict = {}  # every node once, in order of first appearance
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("*", 1)[0]
@@ -179,8 +173,8 @@ def parse_netlist(text: str) -> Netlist:
         np_, nn = tokens[1], tokens[2]
         if np_ == nn:
             raise ValidationError(f"branch {name!r} connects a node to itself", line=line_no)
-        note_node(np_)
-        note_node(nn)
+        nodes.setdefault(np_)
+        nodes.setdefault(nn)
         rest, rest_cols = tokens[3:], cols[3:]
         if kind in ("R", "L", "C"):
             if len(rest) != 1:
@@ -204,27 +198,13 @@ def parse_netlist(text: str) -> Netlist:
 
     if not branches:
         raise ValidationError("empty netlist")
-    all_nodes = {"0"} | seen_nodes
-    touched = set()
-    for b in branches:
-        touched.add(b.node_pos)
-        touched.add(b.node_neg)
-    if "0" not in touched:
+    if "0" not in nodes:
         raise ValidationError("netlist must reference the ground node '0'")
-    # connectivity over the full branch set
-    adjacency: dict = {n: set() for n in all_nodes}
-    for b in branches:
-        adjacency[b.node_pos].add(b.node_neg)
-        adjacency[b.node_neg].add(b.node_pos)
-    reached = {"0"}
-    stack = ["0"]
-    while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb not in reached:
-                reached.add(nb)
-                stack.append(nb)
-    if reached != all_nodes:
-        raise ValidationError(f"disconnected node(s): {sorted(all_nodes - reached)}")
+    del nodes["0"]
+    find = _union(["0", *nodes], [(b.node_pos, b.node_neg) for b in branches])
+    floating = [n for n in nodes if find(n) != find("0")]
+    if floating:
+        raise ValidationError(f"disconnected node(s): {sorted(floating)}")
     return Netlist(branches=tuple(branches), nodes=tuple(nodes))
 
 
@@ -246,6 +226,25 @@ def _effective_kinds(netlist: Netlist, field_classes) -> dict:
     return kinds
 
 
+def _union(nodes, pairs):
+    """Union-find over ``nodes`` joined by ``pairs``; returns ``find``, each node's root.
+
+    Each pair ``(a, b)`` in order sets ``parent[find(a)] = find(b)``; ``find``
+    halves the paths it walks.
+    """
+    parent = {n: n for n in nodes}
+
+    def find(n):
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]
+            n = parent[n]
+        return n
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return find
+
+
 def detect_li_cutsets(netlist: Netlist, field_classes: Mapping | None = None) -> list:
     """Minimal cutsets consisting only of inductive branches and current sources.
 
@@ -254,69 +253,41 @@ def detect_li_cutsets(netlist: Netlist, field_classes: Mapping | None = None) ->
     cutset of the original circuit.
     """
     kinds = _effective_kinds(netlist, field_classes)
+    is_li = {b.name: kinds[b.name] in ("L", "I") for b in netlist.branches}
     all_nodes = ["0", *netlist.nodes]
-    parent = {n: n for n in all_nodes}
-
-    def find(n):
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    for b in netlist.branches:
-        if kinds[b.name] not in ("L", "I"):
-            pa, pb = find(b.node_pos), find(b.node_neg)
-            if pa != pb:
-                parent[pa] = pb
+    contracted = [(b.node_pos, b.node_neg) for b in netlist.branches if not is_li[b.name]]
+    find = _union(all_nodes, contracted)
     comps = sorted({find(n) for n in all_nodes})
     if len(comps) == 1:
         return []
-    ground_comp = find("0")
-    others = [c for c in comps if c != ground_comp]
+    others = [c for c in comps if c != find("0")]
     if len(others) > 16:
         raise ValidationError("cutset enumeration limited to desk-scale netlists")
-    li_edges = [b for b in netlist.branches if kinds[b.name] in ("L", "I")]
+    # each LI branch as (name, supernode+, supernode-)
+    li_edges = [(b.name, find(b.node_pos), find(b.node_neg))
+                for b in netlist.branches if is_li[b.name]]
     cutsets = []
     seen = set()
     for size in range(1, len(others) + 1):
         for combo in itertools.combinations(others, size):
             inside = set(combo)
-            crossing = [
-                b for b in li_edges if (find(b.node_pos) in inside) != (find(b.node_neg) in inside)
-            ]
+            crossing = [name for name, a, c in li_edges if (a in inside) != (c in inside)]
             if not crossing:
                 continue
-            if not _connected_subset(inside, li_edges, find):
-                continue
             outside = set(comps) - inside
-            if not _connected_subset(outside, li_edges, find):
+            if not (_connected_subset(inside, li_edges) and _connected_subset(outside, li_edges)):
                 continue
-            key = frozenset(b.name for b in crossing)
+            key = frozenset(crossing)
             if key not in seen:
                 seen.add(key)
-                cutsets.append([b.name for b in crossing])
+                cutsets.append(crossing)
     return cutsets
 
 
-def _connected_subset(node_set, edges, find) -> bool:
-    node_set = set(node_set)
-    if len(node_set) <= 1:
-        return True
-    adj = {n: set() for n in node_set}
-    for b in edges:
-        a, c = find(b.node_pos), find(b.node_neg)
-        if a in node_set and c in node_set and a != c:
-            adj[a].add(c)
-            adj[c].add(a)
-    start = next(iter(node_set))
-    reached = {start}
-    stack = [start]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in reached:
-                reached.add(nb)
-                stack.append(nb)
-    return reached == node_set
+def _connected_subset(node_set, edges) -> bool:
+    """Whether the ``edges`` ``(name, a, b)`` with both ends in ``node_set`` connect it."""
+    find = _union(node_set, [(a, c) for _, a, c in edges if a in node_set and c in node_set])
+    return len({find(n) for n in node_set}) <= 1
 
 
 def detect_cv_loops(netlist: Netlist, field_classes: Mapping | None = None) -> list:

@@ -39,6 +39,7 @@ from .experiments import (
     mesh_edge_length,
     noise_fit_grid,
     noise_metric,
+    read_text,
     response,
     run_classify,
     run_fig4,
@@ -95,7 +96,7 @@ def cmd_mesh(args) -> int:
         print(f"wrote {out} ({mesh.n_nodes} nodes, {mesh.n_triangles} triangles, "
               f"h = {mesh_edge_length(cfg.mesh_level):.4e} m)")
         return 0
-    mesh = read_mesh(Path(args.mesh).read_text(encoding="ascii"))
+    mesh = read_mesh(read_text(args.mesh, "ascii"))
     if args.mesh_action == "refine":
         refined = refine_uniform(mesh)
         out = _out_dir(args) / (Path(args.mesh).stem + "_refined.txt")

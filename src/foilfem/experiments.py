@@ -116,8 +116,22 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode("ascii")).hexdigest()
 
 
+def read_text(path, encoding: str) -> str:
+    """The text of the file ``path``; a byte that ``encoding`` cannot decode raises
+    :class:`ParseError` at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        # the lines of the decodable prefix plus one character for the bad byte
+        line = len((data[: exc.start].decode(encoding) + "?").splitlines())
+        raise ParseError(
+            f"{path}: byte 0x{data[exc.start]:02x} is not valid {encoding}", line=line
+        ) from None
+
+
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file on top of the defaults.
+    """Read a flat ``key = value`` UTF-8 config file on top of the defaults.
 
     A value that :class:`ExperimentConfig` rejects raises its
     :class:`ValidationError`, located at the key's line.
@@ -125,7 +139,7 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     base = base or ExperimentConfig()
     field_types = {f.name: f.type for f in fields(ExperimentConfig)}
     overrides, key_lines = {}, {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path, "utf-8").splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue

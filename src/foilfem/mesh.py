@@ -98,9 +98,11 @@ def _edge_keys(triangles: np.ndarray):
 
     Returns the keys and ``n``, one more than the largest node index.
     """
-    pairs = np.sort(triangles.astype(np.int64)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    n = int(pairs.max()) + 1 if pairs.size else 1
-    return pairs[:, 0] * n + pairs[:, 1], n
+    t = triangles.astype(np.int64)
+    a, b = t.reshape(-1), t[:, [1, 2, 0]].reshape(-1)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    n = int(hi.max()) + 1 if hi.size else 1
+    return lo * n + hi, n
 
 
 def _edge_table(triangles: np.ndarray):
@@ -390,9 +392,15 @@ def read_mesh(text: str) -> Mesh:
         if len(parts) != 2 or parts[0] != keyword:
             raise ParseError(f"expected '{keyword} <count>'", line=ln)
         try:
-            return int(parts[1]), ln
+            count = int(parts[1])
         except ValueError as exc:
             raise ParseError(f"bad count {parts[1]!r}", line=ln) from exc
+        if not 0 <= count <= len(lines) - pos:
+            raise ParseError(
+                f"{keyword} count {count} is not between 0 and the {len(lines) - pos} lines left",
+                line=ln,
+            )
+        return count, ln
 
     take("foilmesh v1")
     n, _ = take_count("nodes")

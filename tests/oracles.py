@@ -5,6 +5,7 @@ from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from foilfem.assembly import QUADRATURE_RULES, TWO_PI
 from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
@@ -534,3 +535,24 @@ def loop_stamp(netlist: Netlist, field_systems: Mapping | None = None) -> DAESys
         layout=layout,
         probes=probes,
     )
+
+
+# --- frequency response of the stamped circuit ------------------------------------------
+#
+# The phasor form of ``E dy/dt + A y = s(t)`` at one angular frequency.  It shares no code
+# with the Schur reduction or the projector inductance of ``dae_analysis``, so it checks
+# their ``R`` and ``L`` through the circuit that the time stepper integrates.
+
+
+def terminal_impedance(dae: DAESystem, omega: float) -> complex:
+    """``Z = v / i`` of the field element ``FW1`` from one complex solve of ``(j omega E + A) y = b``.
+
+    ``b`` holds each source row's sign at unit amplitude.
+    """
+    b = np.zeros(dae.E.shape[0], dtype=complex)
+    for row, _, sign in dae.source_rows:
+        b[row] += sign
+    y = spla.spsolve(sp.csc_matrix(1j * omega * dae.E + dae.A), b)
+    p = dae.probes["FW1"]
+    v = (y[p.pos_index] if p.pos_index >= 0 else 0.0) - (y[p.neg_index] if p.neg_index >= 0 else 0.0)
+    return complex(v / y[p.current_index])

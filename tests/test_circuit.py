@@ -100,6 +100,12 @@ class TestParser:
         with pytest.raises(ValidationError):
             parse_netlist("R1 1 0 5\nR2 2 3 5")
 
+    def test_disconnected_nodes_are_listed_sorted(self):
+        with pytest.raises(ValidationError) as err:
+            parse_netlist("R1 1 0 5\nR2 b a 5\nL3 2 1 1e-3\nC4 3 c 1e-6")
+        assert str(err.value) == "disconnected node(s): ['3', 'a', 'b', 'c']"
+        assert err.value.line is None
+
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValidationError):
             parse_netlist("R1 1 0 5\nR1 1 0 5")

@@ -201,6 +201,39 @@ class TestProgramErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (["classify", "--config"], b"\x7fELF\x02\x01\x01\x00\xd0\n\x00",
+             "byte 0xd0 is not valid utf-8 (line 1)"),
+            (["classify", "--config"],
+             "mesh_level = 0\n# a comment: \u00b5m\nbasis_family = hat # \xff\n".encode("latin-1"),
+             "byte 0xb5 is not valid utf-8 (line 2)"),
+            (["classify", "--config"],
+             "mesh_level = 0\n# a comment: \u00b5m\nbasis_family = hat\n".encode("utf-8") + b"#\xff\n",
+             "byte 0xff is not valid utf-8 (line 4)"),
+            (["mesh", "info", "--mesh"], b"foilmesh v1\nnodes 1\n0.0 0.0\n\r\n\xe9\n",
+             "byte 0xe9 is not valid ascii (line 5)"),
+            (["mesh", "refine", "--mesh"], b"\x7fELF\x02\x01\x01\x00\xd0\n",
+             "byte 0xd0 is not valid ascii (line 1)"),
+        ],
+        ids=["config-binary", "config-latin-1", "config-0xff", "mesh-info", "mesh-refine-binary"],
+    )
+    def test_undecodable_file_is_one_line_at_the_bad_byte(self, argv, data, message, tmp_path, capsys):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        out = tmp_path / "out"
+        assert main([*argv, str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"foilfem: error: {path}: {message}\n"
+        assert not out.exists()
+
+    def test_config_comment_may_hold_utf8(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes("# foil pitch 0.28 mm, h = 8 \u00b5m\nmesh_level = 0\n".encode("utf-8"))
+        assert "mesh level 0" in run_cli(capsys, "classify", "--config", str(cfg_path))
+
+    @pytest.mark.parametrize(
         "command, dt, message",
         [
             ("simulate", "1e-12", "step count 22000000000 exceeds the 10000000 guard"),

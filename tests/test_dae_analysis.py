@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from foilfem.assembly import FieldDiscretization
+from foilfem.circuit import mna_stamp, parse_netlist
 from foilfem.dae_analysis import (
     ElementKind,
     build_projectors,
@@ -19,15 +20,19 @@ from foilfem.errors import (
     NonpositiveInductanceError,
     SizeGuardError,
 )
+from foilfem.experiments import ExperimentConfig, build_mesh, build_system
 from foilfem.linalg import canonical_csr, rank
 from foilfem.mesh import GeometrySpec, generate_parametric_mesh
 from foilfem.winding import (
+    BASIS_FAMILIES,
     AssembledFoilSystem,
     FoilWindingSpec,
     VoltageBasis,
     assemble_foil_system,
     device_materials,
 )
+
+from oracles import terminal_impedance
 
 GEOM = GeometrySpec()
 SPEC = FoilWindingSpec(
@@ -299,3 +304,48 @@ class TestClassification:
         text = classify_element(sys, "Ge").as_report()
         assert "inductance-like" in text
         assert "L = " in text
+
+
+@pytest.fixture(scope="module")
+def device_systems():
+    """The shipped device's foil system per ``(mesh level, basis family)``, built on demand."""
+    cache = {}
+
+    def system(level, family):
+        if (level, family) not in cache:
+            cfg = ExperimentConfig(mesh_level=level, basis_family=family)
+            cache[level, family] = build_system(cfg, build_mesh(cfg))[0]
+        return cache[level, family]
+
+    return system
+
+
+def current_driven(system):
+    netlist = parse_netlist("I1 1 0 DC 1\nFW1 1 0 FILE <memory> MODE Ge")
+    return mna_stamp(netlist, field_systems={"<memory>": system})
+
+
+class TestTerminalImpedance:
+    """``R`` and ``L`` against the frequency response of the stamped current-driven circuit."""
+
+    @pytest.mark.parametrize("family", BASIS_FAMILIES)
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_low_frequency_resistance_is_the_schur_series_resistance(
+        self, level, family, device_systems
+    ):
+        system = device_systems(level, family)
+        r = schur_stranded_form(system).R
+        z = terminal_impedance(current_driven(system), 1e-3)
+        assert abs(z.real - r) <= 1e-9 * r
+
+    @pytest.mark.parametrize("family", BASIS_FAMILIES)
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_high_frequency_reactance_is_the_classified_inductance(
+        self, level, family, device_systems
+    ):
+        # eddy currents screen the conductors as omega grows; the error falls like 1/omega^2
+        system = device_systems(level, family)
+        inductance = classify_element(system, "Ge").L
+        omega = 1e14
+        z = terminal_impedance(current_driven(system), omega)
+        assert abs(z.imag / omega - inductance) <= 1e-7 * inductance

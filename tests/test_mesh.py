@@ -174,6 +174,19 @@ class TestMeshFormat:
         with pytest.raises(ValidationError, match=f"unknown region tag {tag}"):
             validate_mesh(Mesh(mesh.nodes, mesh.triangles, regions, mesh.boundary))
 
+    @pytest.mark.parametrize("keyword", ["nodes", "triangles", "boundary"])
+    @pytest.mark.parametrize("count", ["negative", "one-above-the-lines-left", "huge"])
+    def test_bad_count_raises_at_its_line(self, keyword, count):
+        lines = write_mesh(rectangle_mesh(0.0, 1.0, 0.0, 1.0, h=1.0)).splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith(keyword + " "))
+        left = len(lines) - row - 1
+        value = {"negative": -3, "one-above-the-lines-left": left + 1, "huge": 10**15}[count]
+        lines[row] = f"{keyword} {value}"
+        with pytest.raises(ParseError, match=f"^{keyword} count {value} is not between 0 and "
+                                             f"the {left} lines left") as err:
+            read_mesh("\n".join(lines) + "\n")
+        assert err.value.line == row + 1
+
     def test_truncated_raises(self):
         with pytest.raises(ParseError):
             read_mesh("foilmesh v1\nnodes 2\n0.0 0.0\n")
