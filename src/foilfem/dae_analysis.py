@@ -3,13 +3,14 @@
 The foil system can be reduced by eliminating the voltage coefficients:
 with the consistent conductance the result has the classic stranded-conductor
 structure (Schur mass ``M - X Ge^-1 X^T``, source vector ``X Ge^-1 c`` and
-series resistance ``c^T Ge^-1 c``).  Kernel projectors of the Schur mass
-expose the terminal inductance; the quadratic form
-``(c^T (G - Ge)^-1 c)^-1`` measures how strongly the original conductance
-variant behaves like a singularly perturbed resistance.
+series resistance ``c^T Ge^-1 c``).  The stiffness on the kernel of the Schur
+mass, which has a sparse basis, gives the terminal inductance; the quadratic
+form ``(c^T (G - Ge)^-1 c)^-1`` measures how strongly the original
+conductance variant behaves like a singularly perturbed resistance.
 
-All dense diagnostics are desk-scale only (coarse meshes); the time stepper
-never forms projectors.  Operations are pure functions of immutable inputs.
+The dense kernel projectors are desk-scale only (coarse meshes); neither the
+inductance nor the time stepper forms them.  Operations are pure functions of
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     SingularConductanceError,
     SizeGuardError,
 )
-from .linalg import canonical_csr, nullspace_basis
+from .linalg import canonical_csr, nullspace_basis, sparse_factorize
 from .winding import MODES, AssembledFoilSystem
 
 DENSE_SIZE_GUARD = 500  # largest DoF count of the dense projector diagnostics
@@ -90,18 +91,23 @@ def build_projectors(a) -> ProjectorPair:
     return ProjectorPair(Q=q, P=np.eye(n) - q)
 
 
-def inductance_value(sf: StrandedForm, stiffness) -> float:
+def inductance_value(sf: StrandedForm, sys: AssembledFoilSystem) -> float:
     """Terminal inductance of the stranded-form element.
 
-    ``L = (Q x_bar)^T (Q K Q + P P)^-1 (Q x_bar)`` with ``Q`` the orthogonal
-    projector onto the kernel of the Schur mass.  Must be positive; a
+    ``L = (B^T x_bar)^T (B^T K B)^-1 (B^T x_bar)`` with ``B`` a sparse orthonormal
+    basis of the kernel of the Schur mass: unit vectors off the conductive
+    support, where ``M`` vanishes, and an orthonormal basis of ``span(E)`` on
+    it, since ``X = M E``.  With the kernel projector ``Q = B B^T`` this is
+    ``(Q x_bar)^T (Q K Q + P P)^-1 (Q x_bar)``.  Must be positive; a
     nonpositive value signals a violated assumption and raises.
     """
-    pair = build_projectors(sf.M_bar)
-    k = stiffness.toarray() if sp.issparse(stiffness) else np.asarray(stiffness, dtype=float)
-    core = pair.Q @ k @ pair.Q + pair.P @ pair.P
-    qx = pair.Q @ sf.x_bar
-    value = float(qx @ np.linalg.solve(core, qx))
+    off_support = np.ones(sys.n_dofs, dtype=bool)
+    off_support[sys.support] = False
+    span = np.zeros((sys.n_dofs, sys.n_basis))
+    span[sys.support] = np.linalg.qr(sys.E[sys.support])[0]
+    basis = sp.hstack([sp.identity(sys.n_dofs, format="csc")[:, off_support], sp.csc_matrix(span)])
+    coords = basis.T @ sf.x_bar
+    value = float(coords @ sparse_factorize(basis.T @ sys.K @ basis).solve(coords))
     if not np.isfinite(value) or value <= 0.0:
         raise NonpositiveInductanceError(f"extracted inductance {value!r} is not positive")
     return value
@@ -189,8 +195,8 @@ def classify_element(sys: AssembledFoilSystem, mode: str) -> Classification:
     resistance-like as long as the terminal direction sees a nonvanishing
     conductance difference; otherwise it degenerates to inductance-like (the
     single-function solid limit is the canonical case).  The terminal
-    inductance is attached to every non-resistance-like element whenever the
-    system is small enough for the dense projector machinery.
+    inductance is attached to every non-resistance-like element, at every
+    mesh level.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -202,12 +208,9 @@ def classify_element(sys: AssembledFoilSystem, mode: str) -> Classification:
         kind = ElementKind.SOLID_DEGENERATE
     else:
         kind = ElementKind.INDUCTANCE_LIKE
-    inductance = None
-    if not resistance_like and sys.n_dofs <= DENSE_SIZE_GUARD:
-        inductance = inductance_value(schur_stranded_form(sys), sys.K)
     return Classification(
         kind=kind,
-        L=inductance,
+        L=None if resistance_like else inductance_value(schur_stranded_form(sys), sys),
         g_R=measure.g_R if resistance_like else None,
         frob_diff=measure.frob_diff,
         min_eig_diff=measure.min_eig,

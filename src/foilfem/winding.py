@@ -327,8 +327,8 @@ class AssembledFoilSystem:
     G_e: np.ndarray
     c: np.ndarray
     x: np.ndarray
-    E: np.ndarray | None = None
-    support: np.ndarray | None = None
+    E: np.ndarray
+    support: np.ndarray
 
     @property
     def n_dofs(self) -> int:
@@ -405,11 +405,8 @@ def save_system(path, sys: AssembledFoilSystem) -> None:
         "M_data": sys.M.data, "M_indices": sys.M.indices, "M_indptr": sys.M.indptr,
         "M_shape": np.asarray(sys.M.shape),
         "X": sys.X, "G": sys.G, "G_e": sys.G_e, "c": sys.c, "x": sys.x,
+        "E": sys.E, "support": sys.support,
     }
-    if sys.E is not None:
-        payload["E"] = sys.E
-    if sys.support is not None:
-        payload["support"] = sys.support
     np.savez(path, **payload)
 
 
@@ -420,9 +417,9 @@ def load_system(path) -> AssembledFoilSystem:
     array is missing or the blocks do not fit together: K and M well-formed
     CSR (every index in bounds), square and of one size; X with a row per DoF
     and a column per entry of ``c``; ``x`` of shape ``(n,)``; G and G_e
-    ``(n_basis, n_basis)`` and symmetric; E, when present, ``(n, n_basis)``;
-    K, M, X, ``c``, ``x``, G, G_e and E finite; ``support``, when present, a
-    vector of DoF indices in ``[0, n)``.
+    ``(n_basis, n_basis)`` and symmetric; E ``(n, n_basis)``; K, M, X, ``c``,
+    ``x``, G, G_e and E finite; ``support`` a strictly increasing vector of
+    DoF indices in ``[0, n)``.
     """
 
     def invalid(message):
@@ -445,9 +442,7 @@ def load_system(path) -> AssembledFoilSystem:
             return canonical_csr(a)
 
         k, m = csr("K"), csr("M")
-        big_x, g, g_e, c, x = (array(name) for name in ("X", "G", "G_e", "c", "x"))
-        e = data["E"] if "E" in data else None
-        support = data["support"] if "support" in data else None
+        big_x, g, g_e, c, x, e, support = map(array, ("X", "G", "G_e", "c", "x", "E", "support"))
     for name, a in (("K", k), ("M", m)):
         if a.shape[0] != a.shape[1]:
             raise invalid(f"{name} is {a.shape[0]} x {a.shape[1]}, not square")
@@ -464,17 +459,18 @@ def load_system(path) -> AssembledFoilSystem:
     dense = {"X": big_x, "c": c, "x": x, "G": g, "G_e": g_e, "E": e}
     shapes = {"x": (n,), "G": (n_basis, n_basis), "G_e": (n_basis, n_basis), "E": (n, n_basis)}
     for name, shape in shapes.items():
-        if dense[name] is not None and dense[name].shape != shape:
+        if dense[name].shape != shape:
             raise invalid(f"{name} has shape {dense[name].shape}, not {shape}")
     for name, values in (("K", k.data), ("M", m.data), *dense.items()):
-        if values is not None and not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(values)):
             raise invalid(f"{name} has non-finite entries")
     for name, a in (("G", g), ("G_e", g_e)):
         if max_abs(a - a.T) > 1e-12 * max_abs(a):
             raise invalid(f"{name} is not symmetric to 1e-12 relative")
-    if support is not None and (
-        support.ndim != 1 or support.dtype.kind not in "iu"
-        or (support.size and (support.min() < 0 or support.max() >= n))
+    if support.ndim != 1 or support.dtype.kind not in "iu" or (
+        support.size and (support.min() < 0 or support.max() >= n)
     ):
         raise invalid(f"support is not a vector of DoF indices in [0, {n})")
+    if np.any(support[1:] <= support[:-1]):
+        raise invalid("support is not strictly increasing")
     return AssembledFoilSystem(K=k, M=m, X=big_x, G=g, G_e=g_e, c=c, x=x, E=e, support=support)

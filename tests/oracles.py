@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from foilfem.assembly import QUADRATURE_RULES, TWO_PI
 from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
+from foilfem.dae_analysis import build_projectors
 from foilfem.errors import SingularMatrixError, SingularSystemAtStepError
 from foilfem.linalg import RestrictedSpdSolver, canonical_csr, sparse_factorize
 from foilfem.mesh import GeometrySpec, Mesh, RegionTag, validate_mesh
@@ -540,7 +541,7 @@ def loop_stamp(netlist: Netlist, field_systems: Mapping | None = None) -> DAESys
 # --- frequency response of the stamped circuit ------------------------------------------
 #
 # The phasor form of ``E dy/dt + A y = s(t)`` at one angular frequency.  It shares no code
-# with the Schur reduction or the projector inductance of ``dae_analysis``, so it checks
+# with the Schur reduction or the kernel-basis inductance of ``dae_analysis``, so it checks
 # their ``R`` and ``L`` through the circuit that the time stepper integrates.
 
 
@@ -556,3 +557,18 @@ def terminal_impedance(dae: DAESystem, omega: float) -> complex:
     p = dae.probes["FW1"]
     v = (y[p.pos_index] if p.pos_index >= 0 else 0.0) - (y[p.neg_index] if p.neg_index >= 0 else 0.0)
     return complex(v / y[p.current_index])
+
+
+# --- terminal inductance through dense kernel projectors ----------------------------------
+#
+# The kernel of the Schur mass found numerically from its eigenvalues, not read off the
+# conductive support and ``E`` as ``dae_analysis.inductance_value`` does.  Dense and guarded,
+# so coarse meshes only.
+
+
+def projector_inductance(sf, K) -> float:
+    """``L = (Q x_bar)^T (Q K Q + P P)^-1 (Q x_bar)`` with the dense projector ``Q`` onto the
+    numerical kernel of ``sf.M_bar`` and ``P = I - Q``."""
+    pair = build_projectors(sf.M_bar)
+    qx = pair.Q @ sf.x_bar
+    return float(qx @ np.linalg.solve(pair.Q @ K.toarray() @ pair.Q + pair.P @ pair.P, qx))

@@ -42,6 +42,8 @@ def toy_field_system(m=2.0, x=3.0, k=5.0, n_turns=4.0):
         G_e=np.array([[x * x / m]]),
         c=np.array([n_turns]),
         x=np.array([x / m]),
+        E=np.array([[x / m]]),
+        support=np.array([0]),
     )
 
 

@@ -32,7 +32,7 @@ from foilfem.winding import (
     device_materials,
 )
 
-from oracles import terminal_impedance
+from oracles import projector_inductance, terminal_impedance
 
 GEOM = GeometrySpec()
 SPEC = FoilWindingSpec(
@@ -56,7 +56,7 @@ def scalar_toy(m=2.0, x=3.0, k=5.0, n_turns=4.0):
     c = np.array([n_turns])
     return AssembledFoilSystem(
         K=k_mat, M=m_mat, X=big_x, G=g, G_e=ge, c=c, x=np.array([x / m]),
-        support=np.array([0]),
+        E=np.array([[x / m]]), support=np.array([0]),
     )
 
 
@@ -170,7 +170,7 @@ class TestInductance:
         sys = scalar_toy(m, x, k, n)
         sf = schur_stranded_form(sys)
         # zero Schur mass means Q = I and L = x_bar^2 / k
-        assert inductance_value(sf, sys.K) == pytest.approx((m * n / x) ** 2 / k)
+        assert inductance_value(sf, sys) == pytest.approx((m * n / x) ** 2 / k)
 
     def test_lumped_equivalent_fixture(self):
         # two-dof fixture built to mimic an ideal inductor of known value
@@ -186,14 +186,24 @@ class TestInductance:
             G_e=np.array([[x * x / m]]),
             c=np.array([n]),
             x=np.array([x / m, 0.0]),
+            E=np.array([[x / m], [0.0]]),
+            support=np.array([0]),
         )
         sf = schur_stranded_form(sys)
-        assert inductance_value(sf, sys.K) == pytest.approx(l_target, rel=1e-9)
+        assert inductance_value(sf, sys) == pytest.approx(l_target, rel=1e-9)
 
     def test_positive_on_coarse_device(self, coarse_pair):
         sys, _ = coarse_pair
-        value = inductance_value(schur_stranded_form(sys), sys.K)
+        value = inductance_value(schur_stranded_form(sys), sys)
         assert value > 0.0
+
+    @pytest.mark.parametrize("family", BASIS_FAMILIES)
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_matches_the_dense_projector_oracle(self, level, family, device_systems):
+        system = device_systems(level, family)
+        sf = schur_stranded_form(system)
+        oracle = projector_inductance(sf, system.K)
+        assert abs(inductance_value(sf, system) - oracle) <= 1e-8 * oracle
 
     def test_invariant_under_basis_scaling(self, coarse_pair):
         sys, _ = coarse_pair
@@ -206,9 +216,11 @@ class TestInductance:
             G_e=sys.G_e * np.outer(scale, scale),
             c=sys.c * scale,
             x=sys.x,
+            E=sys.E * scale,
+            support=sys.support,
         )
-        l0 = inductance_value(schur_stranded_form(sys), sys.K)
-        l1 = inductance_value(schur_stranded_form(scaled), sys.K)
+        l0 = inductance_value(schur_stranded_form(sys), sys)
+        l1 = inductance_value(schur_stranded_form(scaled), scaled)
         assert abs(l1 - l0) <= 1e-8 * l0
 
     def test_kernel_coupling_full_rank(self, coarse_pair):
@@ -229,7 +241,7 @@ class TestInductance:
             R=1.0,
         )
         with pytest.raises(NonpositiveInductanceError):
-            inductance_value(sf, sp.csr_matrix(np.array([[2.0]])))
+            inductance_value(sf, scalar_toy(k=2.0))
 
 
 class TestPerturbationMeasure:
@@ -349,3 +361,16 @@ class TestTerminalImpedance:
         omega = 1e14
         z = terminal_impedance(current_driven(system), omega)
         assert abs(z.imag / omega - inductance) <= 1e-7 * inductance
+
+    @pytest.mark.parametrize("family", BASIS_FAMILIES)
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_extrapolated_high_frequency_reactance_is_the_classified_inductance(
+        self, level, family, device_systems
+    ):
+        # on finer meshes the 1/omega^2 term still shows at omega = 1e14; the Richardson
+        # value from omega and 2 omega cancels it
+        system = device_systems(level, family)
+        inductance = classify_element(system, "Ge").L
+        dae = current_driven(system)
+        f = [terminal_impedance(dae, omega).imag / omega for omega in (1e14, 2e14)]
+        assert abs((4.0 * f[1] - f[0]) / 3.0 - inductance) <= 5e-7 * inductance

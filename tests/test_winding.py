@@ -419,10 +419,17 @@ class TestSystemRoundtrip:
              "support is not a vector of DoF indices in [0, 84)"),
             ("support", lambda d: d.update(support=d["support"].astype(float)),
              "support is not a vector of DoF indices"),
+            ("support", lambda d: d.update(support=d["support"][::-1]),
+             "support is not strictly increasing"),
+            ("support", lambda d: d.update(support=d["support"].repeat(2)),
+             "support is not strictly increasing"),
+            ("E", lambda d: d.pop("E"), "missing array 'E'"),
+            ("support", lambda d: d.pop("support"), "missing array 'support'"),
         ],
         ids=["missing", "K-not-square", "M-size", "X-rows", "X-columns", "G-shape", "G-nan",
              "Ge-asymmetric", "K-index", "K-nan", "X-inf", "x-short", "E-columns",
-             "support-range", "support-float"],
+             "support-range", "support-float", "support-decreasing", "support-duplicated",
+             "E-missing", "support-missing"],
     )
     def test_malformed_archive_is_named(self, tmp_path, coarse_system, array, edit, message):
         good = tmp_path / "good.npz"
