@@ -4,7 +4,8 @@ The foil system can be reduced by eliminating the voltage coefficients:
 with the consistent conductance the result has the classic stranded-conductor
 structure (Schur mass ``M - X Ge^-1 X^T``, source vector ``X Ge^-1 c`` and
 series resistance ``c^T Ge^-1 c``).  The stiffness on the kernel of the Schur
-mass, which has a sparse basis, gives the terminal inductance; the quadratic
+mass, which has a sparse basis, gives the terminal inductance from the source
+vector alone, so classification never forms the Schur mass; the quadratic
 form ``(c^T (G - Ge)^-1 c)^-1`` measures how strongly the original
 conductance variant behaves like a singularly perturbed resistance.
 
@@ -37,16 +38,22 @@ INDEFINITE_RTOL = 1e-8  # most negative eig(G - Ge) allowed, relative to ||G||
 
 
 @dataclass(frozen=True)
-class StrandedForm:
-    """Schur reduction of the foil system to stranded-conductor structure."""
+class StrandedSource:
+    """Source vector and series resistance of the stranded form, without the Schur mass."""
 
-    M_bar: sp.csr_matrix
     x_bar: np.ndarray
     R: float
 
 
-def schur_stranded_form(sys: AssembledFoilSystem) -> StrandedForm:
-    """Eliminate the voltage coefficients using the consistent conductance.
+@dataclass(frozen=True)
+class StrandedForm(StrandedSource):
+    """Schur reduction of the foil system to stranded-conductor structure."""
+
+    M_bar: sp.csr_matrix
+
+
+def stranded_source(sys: AssembledFoilSystem) -> StrandedSource:
+    """``x_bar = X Ge^-1 c`` and ``R = c^T Ge^-1 c``: all the terminal inductance reads.
 
     Raises :class:`SingularConductanceError` when ``Ge`` is numerically
     singular (condition number above ``COND_LIMIT``), which violates the
@@ -55,17 +62,27 @@ def schur_stranded_form(sys: AssembledFoilSystem) -> StrandedForm:
     ge = sys.G_e
     if not np.all(np.isfinite(ge)) or np.linalg.cond(ge) > COND_LIMIT:
         raise SingularConductanceError("consistent conductance is numerically singular")
+    ge_inv_c = np.linalg.solve(ge, sys.c)
+    return StrandedSource(x_bar=sys.X @ ge_inv_c, R=float(sys.c @ ge_inv_c))
+
+
+def schur_stranded_form(sys: AssembledFoilSystem) -> StrandedForm:
+    """Eliminate the voltage coefficients using the consistent conductance.
+
+    Adds the Schur mass ``M - X Ge^-1 X^T``, whose correction is a dense block
+    over every DoF row of ``X``, to :func:`stranded_source`'s ``x_bar`` and
+    ``R``; raises as that does.
+    """
+    source = stranded_source(sys)
     rows = np.flatnonzero(np.abs(sys.X).sum(axis=1))
     x_s = sys.X[rows]
-    corr_block = x_s @ np.linalg.solve(ge, x_s.T)
+    corr_block = x_s @ np.linalg.solve(sys.G_e, x_s.T)
     corr = sp.coo_matrix(
         (corr_block.ravel(), (np.repeat(rows, rows.size), np.tile(rows, rows.size))),
         shape=sys.M.shape,
     )
     m_bar = canonical_csr(sys.M - corr.tocsr())
-    x_bar = sys.X @ np.linalg.solve(ge, sys.c)
-    r_series = float(sys.c @ np.linalg.solve(ge, sys.c))
-    return StrandedForm(M_bar=m_bar, x_bar=x_bar, R=r_series)
+    return StrandedForm(x_bar=source.x_bar, R=source.R, M_bar=m_bar)
 
 
 @dataclass(frozen=True)
@@ -91,7 +108,7 @@ def build_projectors(a) -> ProjectorPair:
     return ProjectorPair(Q=q, P=np.eye(n) - q)
 
 
-def inductance_value(sf: StrandedForm, sys: AssembledFoilSystem) -> float:
+def inductance_value(sf: StrandedSource, sys: AssembledFoilSystem) -> float:
     """Terminal inductance of the stranded-form element.
 
     ``L = (B^T x_bar)^T (B^T K B)^-1 (B^T x_bar)`` with ``B`` a sparse orthonormal
@@ -210,7 +227,7 @@ def classify_element(sys: AssembledFoilSystem, mode: str) -> Classification:
         kind = ElementKind.INDUCTANCE_LIKE
     return Classification(
         kind=kind,
-        L=None if resistance_like else inductance_value(schur_stranded_form(sys), sys),
+        L=None if resistance_like else inductance_value(stranded_source(sys), sys),
         g_R=measure.g_R if resistance_like else None,
         frob_diff=measure.frob_diff,
         min_eig_diff=measure.min_eig,

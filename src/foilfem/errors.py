@@ -6,7 +6,7 @@ class FoilFemError(Exception):
 
 
 class SingularMatrixError(FoilFemError):
-    """A factorization hit a pivot below tolerance or a non-SPD block."""
+    """A factorization met a non-finite entry, a pivot below tolerance or a non-SPD block."""
 
 
 class InconsistentRhsError(FoilFemError):
