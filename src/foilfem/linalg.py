@@ -9,13 +9,11 @@ are treated as immutable; every public function is re-entrant and a
 :class:`Factorization` may be shared read-only between threads.
 
 :func:`csr_product` is ``a @ x`` for a CSR matrix, bit for bit, without the
-operator's dispatch; the time stepper calls it once per step.
+operator's dispatch; the time stepper calls it once per step on a large system.
 
-The direct solver is SuperLU with a fill-reducing column ordering.  A
-:class:`Factorization` of at most ``DENSE_SOLVE_MAX_ROWS`` rows applies
-SuperLU's factors as dense triangles, one LAPACK ``dgetrs`` call per solve,
-which skips most of ``SuperLU.solve``'s fixed per-call cost; larger matrices
-keep ``SuperLU.solve``.  Dense eigen/SVD routines are reserved for desk-scale
+The direct solver is SuperLU with a fill-reducing column ordering; a
+:class:`Factorization` solves with ``SuperLU.solve``, one right-hand side or a
+block of them per call.  Dense eigen/SVD routines are reserved for desk-scale
 diagnostics; callers enforce size guards.  Pseudo-inverses of singular mass
 matrices are never formed: :class:`RestrictedSpdSolver` applies them as an
 operator on the SPD support block, to one right-hand side or to a block of
@@ -28,20 +26,12 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgetrs
 
 from .errors import InconsistentRhsError, SingularMatrixError
 
 PIVOT_RTOL = 1e-14  # smallest LU pivot allowed, relative to max|A|
 SYM_RTOL = 1e-10  # largest asymmetry of a restricted SPD matrix, relative to max|M|
 RHS_RTOL = 1e-12  # largest rhs norm outside the support, relative to ||b||
-# Largest matrix whose LU factors are applied as dense triangles, below the measured
-# crossover.  Per solve (2-vCPU Xeon, OpenBLAS 0.3.31, one thread), dense dgetrs against
-# SuperLU.solve: 8.1 vs 13.6 us on the 91-row and 22.5 vs 30.9 us on the 238-row stamped
-# iteration matrix (levels 0 and 1), but 104 vs 40 us on the 563-row inductance kernel block
-# and 559 vs 196 us at 1203 rows (level 2).  Fitting dense time to rows^2 and SuperLU's to
-# its fill puts the crossover at 300-430 rows for the 32-48 fill entries per row seen here.
-DENSE_SOLVE_MAX_ROWS = 300
 
 
 def canonical_csr(a) -> sp.csr_matrix:
@@ -88,68 +78,23 @@ def csr_product(a):
     return product
 
 
-def _row_swaps(order: np.ndarray) -> np.ndarray:
-    """LAPACK pivot indices (0-based) whose row interchanges, in turn, take ``b`` to ``b[order]``."""
-    n = order.size
-    held = list(range(n))  # held[i]: the entry of b that row i holds after the swaps so far
-    row = list(range(n))  # row[k]: the row that holds entry k of b; inverse of held
-    swaps = np.empty(n, dtype=np.int32)
-    for i, k in enumerate(order.tolist()):
-        j = row[k]
-        swaps[i] = j
-        held[i], held[j] = k, held[i]
-        row[k], row[held[j]] = i, j
-    return swaps
-
-
-def _dense_triangles(lu):
-    """``b -> lu.solve(b)`` as one LAPACK ``dgetrs`` call on SuperLU's factors, densified once.
-
-    SuperLU factors ``Pr A Pc = L U``.  ``L`` and ``U`` go into one Fortran-ordered
-    array in LAPACK's packed LU layout, ``Pr`` becomes ``dgetrs``'s row-interchange
-    sequence and ``Pc`` is applied to its result.
-    """
-    packed = lu.L.toarray(order="F")
-    np.fill_diagonal(packed, 0.0)  # L's unit diagonal is implicit in the packed layout
-    packed += lu.U.toarray()  # exact: every entry is one factor's entry plus 0.0
-    swaps = _row_swaps(np.argsort(lu.perm_r))
-    perm_c = lu.perm_c
-
-    def apply(b):
-        # scipy's wrapper shifts the pivots to 1-based in place while the GIL is released, so
-        # each call gets its own copy: a shared one breaks concurrent solves.  info < 0 would
-        # only flag a malformed argument.
-        z, _ = dgetrs(packed, swaps.copy(), b)
-        return z[perm_c]
-
-    return apply
-
-
 class Factorization:
-    """Reusable sparse LU factorization of a square matrix.
+    """Reusable sparse LU factorization of a square matrix (SuperLU's, in ``_lu``).
 
-    ``_lu`` is SuperLU's factorization.  A matrix of at most
-    ``DENSE_SOLVE_MAX_ROWS`` rows applies its factors as dense triangles: one
-    LAPACK ``dgetrs`` call on ``L`` and ``U`` densified once here, with the
-    row and column permutations around it.  That skips most of
-    ``SuperLU.solve``'s fixed per-call cost, and its result differs from
-    ``SuperLU.solve`` only in round-off (summation order).  ``dgetrs`` on
-    fixed factors gives the same bits under any BLAS thread count; LAPACK's
-    own ``dgetrf`` would not, so the factors stay SuperLU's.  Larger matrices
-    keep ``SuperLU.solve``, bit for bit.
+    A solve is ``SuperLU.solve`` on the factors; it holds no state between calls, so
+    threads may share one factorization.
     """
 
     def __init__(self, lu, n: int):
         self._lu = lu
         self.n = n
-        self._apply = _dense_triangles(lu) if n <= DENSE_SOLVE_MAX_ROWS else lu.solve
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``A^-1 b`` for a vector of length ``n`` or an ``(n, k)`` block."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError(f"rhs length {b.shape[0]} != {self.n}")
-        return self._apply(b)
+        return self._lu.solve(b)
 
 
 def sparse_factorize(a) -> Factorization:
@@ -157,8 +102,7 @@ def sparse_factorize(a) -> Factorization:
 
     Raises :class:`SingularMatrixError` when an entry is not finite, or when a
     pivot falls below ``PIVOT_RTOL * max|a|``, which signals a rank-deficient
-    system.  The returned :class:`Factorization` solves with dense triangles
-    up to ``DENSE_SOLVE_MAX_ROWS`` rows and with ``SuperLU.solve`` above.
+    system.  The returned :class:`Factorization` solves with ``SuperLU.solve``.
     """
     m = canonical_csr(a)
     n_rows, n_cols = m.shape

@@ -6,6 +6,7 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dgemv
 
 from foilfem.assembly import QUADRATURE_RULES, TWO_PI
 from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
@@ -13,7 +14,13 @@ from foilfem.dae_analysis import build_projectors
 from foilfem.errors import SingularMatrixError, SingularSystemAtStepError
 from foilfem.linalg import RestrictedSpdSolver, canonical_csr, sparse_factorize
 from foilfem.mesh import GeometrySpec, Mesh, RegionTag, validate_mesh
-from foilfem.timestepper import BLOWUP_BOUND, TimeSeries, consistent_zero_start
+from foilfem.timestepper import (
+    BLOWUP_BOUND,
+    PROPAGATOR_MAX_ROWS,
+    TimeSeries,
+    consistent_zero_start,
+    propagator,
+)
 from foilfem.winding import (
     AssembledFoilSystem,
     SolidSystem,
@@ -286,7 +293,11 @@ def loop_refine_uniform(mesh):
 # probe traces after the loop and evaluated the sources on the whole grid: a per-step
 # source vector summed branch by branch, a per-step, per-probe read of the full state, an
 # optional initial state and optional full-state snapshots every ``snapshot_stride``
-# steps.  ``integrate`` must reproduce its times, traces and divergence step bit for bit.
+# steps.  Up to ``PROPAGATOR_MAX_ROWS`` unknowns it steps as ``integrate`` does, with the
+# amplification matrix and source columns of ``propagator`` and one ``dgemv`` per step, the
+# forcing summed per step into a fresh vector; ``per_step_solve`` makes it solve
+# ``E/dt + A`` at every step instead, at any size.  ``integrate`` must reproduce its times,
+# traces and divergence step bit for bit.
 
 
 def _loop_source(dae, t):
@@ -311,7 +322,9 @@ def _loop_probe_values(probe, y, y_prev, dt, t):
     return y[probe.current_index], v  # L, V, FW carry their current as an unknown
 
 
-def loop_integrate(dae, cfg, probe_names=None, initial_state=None, snapshot_stride=0):
+def loop_integrate(
+    dae, cfg, probe_names=None, initial_state=None, snapshot_stride=0, per_step_solve=False
+):
     """Return the ``TimeSeries`` and the stacked snapshots (None when not taken)."""
     n_steps = cfg.n_steps
     times = cfg.t0 + cfg.dt * np.arange(n_steps + 1)
@@ -322,6 +335,10 @@ def loop_integrate(dae, cfg, probe_names=None, initial_state=None, snapshot_stri
     except SingularMatrixError as exc:
         raise SingularSystemAtStepError(f"iteration matrix singular: {exc}") from exc
     e_over_dt = (dae.E.multiply(1.0 / cfg.dt)).tocsr()
+    propagated = not per_step_solve and dae.E.shape[0] <= PROPAGATOR_MAX_ROWS
+    if propagated:
+        rows = list(dict.fromkeys(row for row, _, _ in dae.source_rows))
+        amplification, columns = propagator(lhs, e_over_dt, rows)
 
     if initial_state is not None:
         y = np.asarray(initial_state, dtype=float).copy()
@@ -346,8 +363,14 @@ def loop_integrate(dae, cfg, probe_names=None, initial_state=None, snapshot_stri
     diverged_at = None
     last = n_steps
     for k in range(1, n_steps + 1):
-        rhs = e_over_dt @ y + _loop_source(dae, times[k])
-        y_next = lhs.solve(rhs)
+        s = _loop_source(dae, times[k])
+        if propagated:
+            f = np.zeros(y.shape[0])
+            for r, row in enumerate(rows):
+                f += s[row] * columns[:, r]
+            y_next = dgemv(1.0, amplification, y, 1.0, f, overwrite_y=True)
+        else:
+            y_next = lhs.solve(e_over_dt @ y + s)
         record(k, y_next, y)
         if not np.all(np.isfinite(y_next)) or float(np.max(np.abs(y_next))) > BLOWUP_BOUND:
             diverged_at = k

@@ -1,8 +1,6 @@
 """Unit and property tests for the linear-algebra kernels."""
 
 import inspect
-import os
-import subprocess
 import sys
 import threading
 from functools import cache
@@ -21,7 +19,6 @@ from foilfem.circuit import mna_stamp, parse_netlist
 from foilfem.errors import InconsistentRhsError, SingularMatrixError
 from foilfem.experiments import ExperimentConfig, build_mesh, build_system, source_line
 from foilfem.linalg import (
-    DENSE_SOLVE_MAX_ROWS,
     RestrictedSpdSolver,
     canonical_csr,
     csr_product,
@@ -96,59 +93,6 @@ class TestSparseFactorize:
         res = np.linalg.norm(a @ y - b)
         assert res <= 1e-10 * (np.max(np.abs(a)) * np.linalg.norm(y) + np.linalg.norm(b))
 
-
-def relative_deviation(x, ref):
-    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
-
-
-# run in a child process, so that the BLAS thread count is read afresh: a level-1 current-driven
-# run at dt = 1e-5 (238 unknowns, below DENSE_SOLVE_MAX_ROWS); it prints a SHA-256 of its traces
-THREADED_RUN = """
-import hashlib
-from foilfem.experiments import ExperimentConfig, build_mesh, build_system, run_transient
-cfg = ExperimentConfig()
-series = run_transient(cfg, build_system(cfg, build_mesh(cfg, 1))[0], "i", "Ge", 1e-5)
-digest = hashlib.sha256(series.times.tobytes())
-for name in sorted(series.currents):
-    digest.update(series.currents[name].tobytes() + series.voltages[name].tobytes())
-print(series.diverged_at, digest.hexdigest())
-"""
-
-
-class TestDenseTriangles:
-    """Up to ``DENSE_SOLVE_MAX_ROWS`` rows a solve applies SuperLU's factors through LAPACK."""
-
-    @pytest.mark.parametrize("dt", [1e-4, 1e-5])
-    @pytest.mark.parametrize("drive", ["i", "v"])
-    @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_matches_superlu_on_stamped_iteration_matrices(self, level, drive, dt):
-        net = parse_netlist(f"{source_line(ExperimentConfig(), drive)}\nFW1 1 0 FILE <m> MODE Ge")
-        dae = mna_stamp(net, field_systems={"<m>": built_system(level)})
-        f = sparse_factorize(dae.E.multiply(1.0 / dt) + dae.A)
-        rng = np.random.default_rng(level)
-        b = rng.standard_normal(f.n) * 10.0 ** rng.integers(-8, 8, f.n)
-        for rhs in (b, np.column_stack([b, dae.source(1e-3)])):
-            x, ref = f.solve(rhs), f._lu.solve(rhs)
-            if f.n <= DENSE_SOLVE_MAX_ROWS:  # levels 0 and 1
-                assert f._apply != f._lu.solve
-                assert relative_deviation(x, ref) <= 1e-12
-            else:  # level 2 keeps SuperLU's solve, bit for bit
-                assert x.tobytes() == ref.tobytes()
-
-    def test_applies_both_permutations(self):
-        # a tiny diagonal forces row pivoting; the coupling pattern gives a non-trivial ordering
-        rng = np.random.default_rng(11)
-        a = sp.random(12, 12, density=0.3, random_state=11) + sp.diags(1e-3 * rng.random(12))
-        f = sparse_factorize(a)
-        identity = np.arange(12)
-        assert not np.array_equal(f._lu.perm_r, identity)
-        assert not np.array_equal(f._lu.perm_c, identity)
-        assert not np.array_equal(np.argsort(f._lu.perm_r), f._lu.perm_c)
-        b = rng.standard_normal(12)
-        x = f.solve(b)
-        assert relative_deviation(x, f._lu.solve(b)) <= 1e-12
-        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-
     def test_threads_share_one_factorization(self):
         rng = np.random.default_rng(5)
         a = sp.random(200, 200, density=0.03, random_state=5) + sp.diags(1e-3 + rng.random(200))
@@ -174,20 +118,6 @@ class TestDenseTriangles:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert mismatches == []
-
-    def test_trace_bytes_do_not_depend_on_the_blas_thread_count(self):
-        source_root = str(Path(foilfem.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": source_root}
-            run = subprocess.run(
-                [sys.executable, "-c", THREADED_RUN], env=env, capture_output=True, text=True,
-                timeout=120,
-            )
-            assert run.returncode == 0, run.stderr
-            outputs.append(run.stdout)
-        assert outputs[0].startswith("None ")  # the run stays bounded
-        assert outputs[0] == outputs[1]
 
 
 class TestRestrictedSpdSolve:

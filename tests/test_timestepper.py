@@ -1,13 +1,19 @@
 """Implicit Euler integrator tests against analytic solutions and the loop-form oracle."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
+import foilfem
 from foilfem.circuit import (
     DAESystem,
     Probe,
@@ -22,7 +28,15 @@ from foilfem.errors import (
     ValidationError,
 )
 from foilfem.experiments import ExperimentConfig, build_mesh, build_system, source_line
-from foilfem.timestepper import BLOCK_STEPS, StepperConfig, consistent_zero_start, integrate
+from foilfem.linalg import sparse_factorize
+from foilfem.timestepper import (
+    BLOCK_STEPS,
+    PROPAGATOR_MAX_ROWS,
+    StepperConfig,
+    consistent_zero_start,
+    integrate,
+    propagator,
+)
 from foilfem.winding import assemble_G_exact
 
 from oracles import loop_integrate
@@ -248,14 +262,14 @@ class TestDivergenceAtBlockEdges:
 
 
 @cache
-def coarse_foil_system(basis_family, exact_g=False):
+def foil_system(basis_family, exact_g=False, level=0):
     cfg = ExperimentConfig(basis_family=basis_family)
-    system, spec, basis = build_system(cfg, build_mesh(cfg, 0))
+    system, spec, basis = build_system(cfg, build_mesh(cfg, level))
     return replace(system, G=assemble_G_exact(spec, basis)) if exact_g else system
 
 
-def foil_dae(drive, mode, basis_family="legendre", exact_g=False):
-    system = coarse_foil_system(basis_family, exact_g)
+def foil_dae(drive, mode, basis_family="legendre", exact_g=False, level=0):
+    system = foil_system(basis_family, exact_g, level)
     net = parse_netlist(f"{source_line(ExperimentConfig(), drive)}\nFW1 1 0 FILE <mem> MODE {mode}")
     return mna_stamp(net, field_systems={"<mem>": system})
 
@@ -340,3 +354,94 @@ class TestLoopOracle:
     def test_probe_kinds_covered(self):
         kinds = {p.kind for make_dae, _, _ in ORACLE_CASES.values() for p in make_dae().probes.values()}
         assert kinds == {"R", "C", "L", "V", "I", "FW"}
+
+
+def relative_deviation(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+def spectral_radius(dae, dt):
+    """Largest |mu| of implicit Euler's amplification matrix, by dense ``eigvals``."""
+    e_over_dt = dae.E.multiply(1.0 / dt).tocsr()
+    amplification, _ = propagator(sparse_factorize(e_over_dt + dae.A), e_over_dt, [])
+    return float(np.max(np.abs(sla.eigvals(amplification))))
+
+
+# run in a child process, so that the BLAS thread count is read afresh: a level-1 current-driven
+# run at dt = 1e-5 (238 unknowns, stepped with the amplification matrix, one dgemv per step);
+# it prints a SHA-256 of its traces
+THREADED_RUN = """
+import hashlib
+from foilfem.experiments import ExperimentConfig, build_mesh, build_system, run_transient
+cfg = ExperimentConfig()
+series = run_transient(cfg, build_system(cfg, build_mesh(cfg, 1))[0], "i", "Ge", 1e-5)
+digest = hashlib.sha256(series.times.tobytes())
+for name in sorted(series.currents):
+    digest.update(series.currents[name].tobytes() + series.voltages[name].tobytes())
+print(series.diverged_at, digest.hexdigest())
+"""
+
+
+class TestPropagator:
+    """Up to ``PROPAGATOR_MAX_ROWS`` unknowns a step is ``y <- T y + f_k``, one ``dgemv``."""
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-5])
+    @pytest.mark.parametrize("mode", ["G", "Ge"])
+    @pytest.mark.parametrize("drive", ["i", "v"])
+    @pytest.mark.parametrize("basis_family", ["hat", "legendre"])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_matches_the_per_step_solve(self, level, basis_family, drive, mode, dt):
+        # the textbook step lhs.solve(E/dt y + s); the index-2 current drive amplifies
+        # round-off most, to 1e-9 of a trace's largest value
+        dae = foil_dae(drive, mode, basis_family, level=level)
+        assert dae.E.shape[0] <= PROPAGATOR_MAX_ROWS
+        cfg = StepperConfig(t0=0.0, t_end=22.0e-3, dt=dt)
+        series = integrate(dae, cfg)
+        expected, _ = loop_integrate(dae, cfg, per_step_solve=True)
+        assert series.diverged_at is None and expected.diverged_at is None
+        for name in expected.currents:
+            assert relative_deviation(series.currents[name], expected.currents[name]) <= 1e-8
+            assert relative_deviation(series.voltages[name], expected.voltages[name]) <= 1e-8
+
+    def test_large_system_keeps_the_per_step_solve_bit_for_bit(self):
+        dae = foil_dae("i", "Ge", level=2)
+        assert dae.E.shape[0] > PROPAGATOR_MAX_ROWS
+        cfg = StepperConfig(t0=0.0, t_end=2.0e-4, dt=1e-5)
+        expected, _ = loop_integrate(dae, cfg, per_step_solve=True)
+        assert_same_series(integrate(dae, cfg), expected)
+
+    # the paper's instability: the exact G on a coarse mesh makes implicit Euler amplify
+    # (rho > 1) and the run diverge; the consistent Ge keeps rho < 1 and the run bounded
+    @pytest.mark.parametrize(
+        "basis_family, mode, dt, n_steps, rho, diverged_at",
+        [
+            ("hat", "G", 1e-4, 220, 1.551305, 69),
+            ("legendre", "G", 5e-8, 64, 4.404353, 20),
+            ("hat", "Ge", 1e-4, 220, 0.990035, None),
+            ("legendre", "Ge", 5e-8, 64, 0.999995, None),
+        ],
+        ids=["hat-exactG", "legendre-exactG-short-dt", "hat-Ge", "legendre-Ge-short-dt"],
+    )
+    def test_spectral_radius_above_one_exactly_when_the_run_diverges(
+        self, basis_family, mode, dt, n_steps, rho, diverged_at
+    ):
+        dae = foil_dae("i", mode, basis_family, exact_g=mode == "G")
+        radius = spectral_radius(dae, dt)
+        assert radius == pytest.approx(rho, abs=1e-6)
+        series = integrate(dae, StepperConfig(t0=0.0, t_end=n_steps * dt, dt=dt))
+        assert series.diverged_at == diverged_at
+        assert (radius > 1.0) == (series.diverged_at is not None)
+
+    def test_trace_bytes_do_not_depend_on_the_blas_thread_count(self):
+        source_root = str(Path(foilfem.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": source_root}
+            run = subprocess.run(
+                [sys.executable, "-c", THREADED_RUN], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0].startswith("None ")  # the run stays bounded
+        assert outputs[0] == outputs[1]
