@@ -103,12 +103,6 @@ class Netlist:
     branches: tuple
     nodes: tuple  # deterministic order of first appearance, ground excluded
 
-    def branch(self, name: str) -> Branch:
-        for b in self.branches:
-            if b.name == name:
-                return b
-        raise KeyError(name)
-
 
 _WAVEFORM_ARITY = {"SIN": 2, "PSIN": 4, "DC": 1}
 

@@ -9,9 +9,8 @@ vector alone, so classification never forms the Schur mass; the quadratic
 form ``(c^T (G - Ge)^-1 c)^-1`` measures how strongly the original
 conductance variant behaves like a singularly perturbed resistance.
 
-The dense kernel projectors are desk-scale only (coarse meshes); neither the
-inductance nor the time stepper forms them.  Operations are pure functions of
-immutable inputs.
+The Schur mass itself is formed only by :func:`schur_stranded_form`, which
+no command calls.  Operations are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -26,12 +25,10 @@ from .errors import (
     IndefiniteDifferenceError,
     NonpositiveInductanceError,
     SingularConductanceError,
-    SizeGuardError,
 )
-from .linalg import canonical_csr, nullspace_basis, sparse_factorize
+from .linalg import canonical_csr, sparse_factorize
 from .winding import MODES, AssembledFoilSystem
 
-DENSE_SIZE_GUARD = 500  # largest DoF count of the dense projector diagnostics
 KERNEL_TOL = 1e-10  # eigenvalues below KERNEL_TOL * max|lambda| span a kernel
 COND_LIMIT = 1e12  # largest condition number of Ge for the Schur reduction
 INDEFINITE_RTOL = 1e-8  # most negative eig(G - Ge) allowed, relative to ||G||
@@ -85,44 +82,30 @@ def schur_stranded_form(sys: AssembledFoilSystem) -> StrandedForm:
     return StrandedForm(x_bar=source.x_bar, R=source.R, M_bar=m_bar)
 
 
-@dataclass(frozen=True)
-class ProjectorPair:
-    """Orthogonal projector onto a kernel and its complement."""
+def kernel_basis(sys: AssembledFoilSystem) -> sp.csc_matrix:
+    """Sparse orthonormal basis ``B`` of the kernel of the Schur mass ``M - X Ge^-1 X^T``.
 
-    Q: np.ndarray
-    P: np.ndarray
-
-
-def build_projectors(a) -> ProjectorPair:
-    """Projector onto the numerical kernel of a symmetric matrix (dense, guarded)."""
-    if sp.issparse(a):
-        a = a.toarray()
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n > DENSE_SIZE_GUARD:
-        raise SizeGuardError(
-            f"dense projector construction limited to {DENSE_SIZE_GUARD} DoFs, got {n}"
-        )
-    basis = nullspace_basis(a, KERNEL_TOL)
-    q = basis @ basis.T
-    return ProjectorPair(Q=q, P=np.eye(n) - q)
-
-
-def inductance_value(sf: StrandedSource, sys: AssembledFoilSystem) -> float:
-    """Terminal inductance of the stranded-form element.
-
-    ``L = (B^T x_bar)^T (B^T K B)^-1 (B^T x_bar)`` with ``B`` a sparse orthonormal
-    basis of the kernel of the Schur mass: unit vectors off the conductive
-    support, where ``M`` vanishes, and an orthonormal basis of ``span(E)`` on
-    it, since ``X = M E``.  With the kernel projector ``Q = B B^T`` this is
-    ``(Q x_bar)^T (Q K Q + P P)^-1 (Q x_bar)``.  Must be positive; a
-    nonpositive value signals a violated assumption and raises.
+    Unit vectors off the conductive support, where ``M`` vanishes, and an
+    orthonormal basis of ``span(E)`` on it, since ``X = M E``.  The kernel
+    projector is ``Q = B B^T``.
     """
     off_support = np.ones(sys.n_dofs, dtype=bool)
     off_support[sys.support] = False
     span = np.zeros((sys.n_dofs, sys.n_basis))
     span[sys.support] = np.linalg.qr(sys.E[sys.support])[0]
-    basis = sp.hstack([sp.identity(sys.n_dofs, format="csc")[:, off_support], sp.csc_matrix(span)])
+    return sp.hstack([sp.identity(sys.n_dofs, format="csc")[:, off_support], sp.csc_matrix(span)])
+
+
+def inductance_value(sf: StrandedSource, sys: AssembledFoilSystem) -> float:
+    """Terminal inductance of the stranded-form element.
+
+    ``L = (B^T x_bar)^T (B^T K B)^-1 (B^T x_bar)`` with ``B`` the
+    :func:`kernel_basis` of the Schur mass.  With the kernel projector
+    ``Q = B B^T`` and ``P = I - Q`` this is ``(Q x_bar)^T (Q K Q + P P)^-1
+    (Q x_bar)``.  Must be positive; a nonpositive value signals a violated
+    assumption and raises.
+    """
+    basis = kernel_basis(sys)
     coords = basis.T @ sf.x_bar
     value = float(coords @ sparse_factorize(basis.T @ sys.K @ basis).solve(coords))
     if not np.isfinite(value) or value <= 0.0:

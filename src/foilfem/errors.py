@@ -13,10 +13,6 @@ class InconsistentRhsError(FoilFemError):
     """Right-hand side has mass outside the solvable support."""
 
 
-class SizeGuardError(FoilFemError):
-    """A dense diagnostic was requested above its size limit."""
-
-
 class IndefiniteDifferenceError(FoilFemError):
     """Conductance-matrix difference has a significantly negative eigenvalue."""
 

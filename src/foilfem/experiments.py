@@ -93,7 +93,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value < least:
                 raise ValidationError(f"{key} must be at least {least}, got {value!r}", key=key)
-        for key in ("dt", "duration"):
+        for key in ("dt", "duration", "frequency"):
             value = getattr(self, key)
             if not value > 0.0:  # also rejects NaN
                 raise ValidationError(f"{key} must be positive, got {value!r}", key=key)

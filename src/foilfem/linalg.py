@@ -13,11 +13,11 @@ operator's dispatch; the time stepper calls it once per step on a large system.
 
 The direct solver is SuperLU with a fill-reducing column ordering; a
 :class:`Factorization` solves with ``SuperLU.solve``, one right-hand side or a
-block of them per call.  Dense eigen/SVD routines are reserved for desk-scale
-diagnostics; callers enforce size guards.  Pseudo-inverses of singular mass
-matrices are never formed: :class:`RestrictedSpdSolver` applies them as an
-operator on the SPD support block, to one right-hand side or to a block of
-them in one call.
+block of them per call.  The one dense decomposition, the SVD in :func:`rank`,
+is meant for narrow blocks such as the coupling columns ``X``.  Pseudo-inverses
+of singular mass matrices are never formed: :class:`RestrictedSpdSolver`
+applies them as an operator on the SPD support block, to one right-hand side
+or to a block of them in one call.
 """
 
 from __future__ import annotations
@@ -173,7 +173,6 @@ class RestrictedSpdSolver:
         self._mask = np.zeros(n, dtype=bool)
         self._mask[support] = True
         self._lu = lu
-        self._block = block
 
     def solve(self, b) -> np.ndarray:
         """``pinv(M) @ b`` for a vector ``b`` of length ``n`` or an ``(n, k)`` block.
@@ -203,32 +202,6 @@ class RestrictedSpdSolver:
 def restricted_spd_solve(m, b, support) -> np.ndarray:
     """One-shot :class:`RestrictedSpdSolver` solve (factor once, use once)."""
     return RestrictedSpdSolver(m, support).solve(b)
-
-
-def nullspace_basis(a, tol: float) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel of a symmetric matrix.
-
-    Eigenvectors with ``|lambda| <= tol * max|lambda|`` span the returned
-    columns; a full-rank matrix yields an ``(n, 0)`` array.  The all-zero
-    matrix returns the identity basis.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    scale = float(np.max(np.abs(a)))
-    if scale > 0.0 and float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
-        raise ValueError("matrix is not symmetric")
-    if scale == 0.0:
-        return np.eye(n)
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    lam_max = float(np.max(np.abs(w)))
-    keep = np.abs(w) <= tol * lam_max
-    return np.ascontiguousarray(v[:, keep])
 
 
 def rank(a, tol: float) -> int:

@@ -246,11 +246,9 @@ def assemble_X(
     disc: FieldDiscretization,
     spec: FoilWindingSpec,
     basis: VoltageBasis,
-    x: np.ndarray | None = None,
+    x: np.ndarray,
 ) -> np.ndarray:
     """Coupling block: column ``l`` is ``M^(l) x``, one matvec on the stacked ``M^(l)``."""
-    if x is None:
-        x = distribution_coefficients(mesh, disc)
     n = basis.n_functions
     profiles = [profile_for(spec, basis, l) for l in range(n)]
     stacked = assemble_profile_masses(mesh, materials, disc, profiles)
@@ -263,12 +261,10 @@ def assemble_G_original(
     disc: FieldDiscretization,
     spec: FoilWindingSpec,
     basis: VoltageBasis,
-    x: np.ndarray | None = None,
+    x: np.ndarray,
 ) -> np.ndarray:
     """Turn-by-turn conductance ``G_kl = x^T M^(kl) x`` as the direct quadrature sum
     ``sum_e 2 pi area_e sum_q w_q sigma phi_k phi_l x_q^2 / r_q`` over the winding."""
-    if x is None:
-        x = distribution_coefficients(mesh, disc)
     tag = RegionTag.FOIL_WINDING
     elements, r, _, w_eff, scale = conduction_quadrature(mesh, materials, disc, tag)
     nodal = np.where(disc.dof_index >= 0, np.asarray(x)[disc.dof_index], 0.0)

@@ -1,5 +1,6 @@
 """Independent brute-force and loop-form oracles shared between test modules."""
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
@@ -10,7 +11,7 @@ from scipy.linalg.blas import dgemv
 
 from foilfem.assembly import QUADRATURE_RULES, TWO_PI
 from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
-from foilfem.dae_analysis import build_projectors
+from foilfem.dae_analysis import KERNEL_TOL
 from foilfem.errors import SingularMatrixError, SingularSystemAtStepError
 from foilfem.linalg import RestrictedSpdSolver, canonical_csr, sparse_factorize
 from foilfem.mesh import GeometrySpec, Mesh, RegionTag, validate_mesh
@@ -582,11 +583,62 @@ def terminal_impedance(dae: DAESystem, omega: float) -> complex:
     return complex(v / y[p.current_index])
 
 
-# --- terminal inductance through dense kernel projectors ----------------------------------
+# --- dense kernel projectors and the terminal inductance through them --------------------
 #
-# The kernel of the Schur mass found numerically from its eigenvalues, not read off the
-# conductive support and ``E`` as ``dae_analysis.inductance_value`` does.  Dense and guarded,
-# so coarse meshes only.
+# The kernel of a symmetric matrix found numerically from its eigenvalues, not read off the
+# conductive support and ``E`` as ``dae_analysis.kernel_basis`` does for the Schur mass.
+# Dense and guarded, so coarse meshes only; acceptance criterion 8 and the inductance tests
+# check the sparse basis and ``L`` against these.
+
+DENSE_SIZE_GUARD = 500  # largest DoF count of the dense projector oracles
+
+
+def nullspace_basis(a, tol: float) -> np.ndarray:
+    """Orthonormal basis of the numerical kernel of a symmetric matrix.
+
+    Eigenvectors with ``|lambda| <= tol * max|lambda|`` span the returned
+    columns; a full-rank matrix yields an ``(n, 0)`` array.  The all-zero
+    matrix returns the identity basis.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite entries")
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
+    scale = float(np.max(np.abs(a)))
+    if scale > 0.0 and float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
+        raise ValueError("matrix is not symmetric")
+    if scale == 0.0:
+        return np.eye(n)
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    lam_max = float(np.max(np.abs(w)))
+    keep = np.abs(w) <= tol * lam_max
+    return np.ascontiguousarray(v[:, keep])
+
+
+@dataclass(frozen=True)
+class ProjectorPair:
+    """Orthogonal projector onto a kernel and its complement."""
+
+    Q: np.ndarray
+    P: np.ndarray
+
+
+def build_projectors(a) -> ProjectorPair:
+    """Projector onto the numerical kernel of a symmetric matrix (dense, at most
+    ``DENSE_SIZE_GUARD`` rows)."""
+    if sp.issparse(a):
+        a = a.toarray()
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if n > DENSE_SIZE_GUARD:
+        raise ValueError(f"dense projector oracle limited to {DENSE_SIZE_GUARD} DoFs, got {n}")
+    basis = nullspace_basis(a, KERNEL_TOL)
+    q = basis @ basis.T
+    return ProjectorPair(Q=q, P=np.eye(n) - q)
 
 
 def projector_inductance(sf, K) -> float:

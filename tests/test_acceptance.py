@@ -9,14 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_li_bonds
+from oracles import brute_force_li_bonds, build_projectors
 
 from foilfem.assembly import FieldDiscretization
 from foilfem.circuit import mna_stamp, parse_netlist
 from foilfem.dae_analysis import (
     ElementKind,
-    build_projectors,
     classify_element,
+    kernel_basis,
     schur_stranded_form,
     singular_perturbation_measure,
 )
@@ -395,6 +395,17 @@ def test_criterion_8_structural_invariants(coarse_legendre, fine_hat):
     eig_min = float(np.linalg.eigvalsh(0.5 * (m_bar_fine + m_bar_fine.T)).min())
     schur_psd = eig_min >= -1e-10 * np.linalg.norm(m_bar_fine)
 
+    # the sparse kernel basis that L depends on: orthonormal, and annihilated by the Schur
+    # mass, applied as M B - X Ge^-1 (X^T B) without forming it
+    orthonormal = kernel_annihilated = True
+    for live in (coarse_legendre, fine_hat):
+        basis = kernel_basis(live)
+        gram = (basis.T @ basis).toarray()
+        orthonormal = orthonormal and max_abs(gram - np.eye(gram.shape[0])) <= 1e-12
+        coupled = live.X @ np.linalg.solve(live.G_e, (basis.T @ live.X).T)
+        schur_b = (live.M @ basis).toarray() - coupled
+        kernel_annihilated = kernel_annihilated and max_abs(schur_b) <= 1e-12 * max_abs(live.M)
+
     # consistent conductance against a dense pseudo-inverse oracle
     m_dense = sys.M.toarray()
     w, v = np.linalg.eigh(m_dense)
@@ -413,6 +424,8 @@ def test_criterion_8_structural_invariants(coarse_legendre, fine_hat):
             "Q^2==Q": projector_ok,
             "Qsigma_X==0": annihilation,
             "Schur_mass_psd_fine": schur_psd,
+            "kernel_basis_BtB==I": orthonormal,
+            "kernel_basis_Schur_mass_B==0": kernel_annihilated,
             "Ge==Xt_pinvM_X": ge_match,
             "runtime<120s": elapsed < 120.0,
         },

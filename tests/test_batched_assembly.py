@@ -39,6 +39,7 @@ from foilfem.winding import (
     assemble_X,
     conductive_support,
     device_materials,
+    distribution_coefficients,
     solid_from_foil,
 )
 
@@ -179,11 +180,12 @@ class TestEdgeCases:
             conductive_support(mesh, insulating, disc),
             loop_conductive_support(mesh, insulating, disc),
         )
+        x = distribution_coefficients(mesh, disc)
         assert_identical(
-            assemble_X(mesh, insulating, disc, spec, basis),
-            loop_assemble_X(mesh, insulating, disc, spec, basis),
+            assemble_X(mesh, insulating, disc, spec, basis, x),
+            loop_assemble_X(mesh, insulating, disc, spec, basis, x),
         )
-        assert not np.any(assemble_G_original(mesh, insulating, disc, spec, basis))
+        assert not np.any(assemble_G_original(mesh, insulating, disc, spec, basis, x))
 
     def test_empty_winding(self, built):
         _, _, _, spec, basis = _inputs(built)

@@ -47,21 +47,26 @@ def toy_field_system(m=2.0, x=3.0, k=5.0, n_turns=4.0):
     )
 
 
+def branch(net, name):
+    """The branch of ``net`` named ``name``."""
+    return next(b for b in net.branches if b.name == name)
+
+
 class TestParser:
     def test_current_driven_field_element(self):
         net = parse_netlist("I1 1 0 PSIN 1 50 1e-3 6.2832e10\nFW1 1 0 FILE sys.bin MODE Ge")
         assert len(net.branches) == 2
-        i1 = net.branch("I1")
+        i1 = branch(net, "I1")
         assert i1.kind == "I"
         assert i1.value.kind == "psin"
         assert i1.value.f_eps == pytest.approx(6.2832e10)
-        fw = net.branch("FW1")
+        fw = branch(net, "FW1")
         assert fw.kind == "FW"
         assert fw.value == FieldElementRef(path="sys.bin", mode="Ge")
 
     def test_voltage_driven_inductor(self):
         net = parse_netlist("V1 1 0 SIN 1 50\nL1 1 0 1e-3")
-        assert net.branch("L1").value == pytest.approx(1e-3)
+        assert branch(net, "L1").value == pytest.approx(1e-3)
         assert net.nodes == ("1",)
 
     def test_negative_value_rejected(self):
@@ -70,7 +75,7 @@ class TestParser:
 
     def test_comments_and_case(self):
         net = parse_netlist("* a comment\nv1 1 0 sin 2 50  * trailing\nr1 1 0 5")
-        assert net.branch("v1").value.amplitude == 2.0
+        assert branch(net, "v1").value.amplitude == 2.0
 
     def test_parse_error_has_position(self):
         with pytest.raises(ParseError) as err:

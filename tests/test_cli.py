@@ -170,6 +170,15 @@ class TestProgramErrors:
         assert message in captured.err
         assert not (tmp_path / "out").exists()
 
+    def test_zero_frequency_is_rejected_with_its_line(self, tmp_path, capsys):
+        # the inductor demo would otherwise divide by w = 0 and print nan
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("frequency = 0\n")
+        assert main(["demo-inductor", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "foilfem: error: frequency must be positive, got 0.0 (line 1)\n"
+
     @pytest.mark.parametrize(
         "key, value, message",
         [

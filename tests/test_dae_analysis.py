@@ -1,4 +1,4 @@
-"""Schur reduction, projector and classification diagnostics."""
+"""Schur reduction, kernel basis, projector oracle and classification diagnostics."""
 
 import numpy as np
 import pytest
@@ -7,19 +7,16 @@ import scipy.sparse as sp
 from foilfem.assembly import FieldDiscretization
 from foilfem.circuit import mna_stamp, parse_netlist
 from foilfem.dae_analysis import (
+    KERNEL_TOL,
     ElementKind,
-    build_projectors,
     classify_element,
     inductance_value,
+    kernel_basis,
     schur_stranded_form,
     singular_perturbation_measure,
     StrandedForm,
 )
-from foilfem.errors import (
-    IndefiniteDifferenceError,
-    NonpositiveInductanceError,
-    SizeGuardError,
-)
+from foilfem.errors import IndefiniteDifferenceError, NonpositiveInductanceError
 from foilfem.experiments import ExperimentConfig, build_mesh, build_system
 from foilfem.linalg import canonical_csr, rank
 from foilfem.mesh import GeometrySpec, generate_parametric_mesh
@@ -32,7 +29,7 @@ from foilfem.winding import (
     device_materials,
 )
 
-from oracles import projector_inductance, terminal_impedance
+from oracles import build_projectors, nullspace_basis, projector_inductance, terminal_impedance
 
 GEOM = GeometrySpec()
 SPEC = FoilWindingSpec(
@@ -141,6 +138,8 @@ class TestStrandedForm:
 
 
 class TestProjectors:
+    """The dense projector oracle that acceptance criterion 8 and the inductance tests use."""
+
     def test_diag_example(self):
         pair = build_projectors(np.diag([1.0, 0.0]))
         assert np.allclose(pair.Q, np.diag([0.0, 1.0]))
@@ -158,10 +157,6 @@ class TestProjectors:
         assert np.max(np.abs(pair.P @ pair.P - pair.P)) <= 1e-12
         assert np.max(np.abs(pair.P @ pair.Q)) <= 1e-12
         assert np.allclose(pair.Q, pair.Q.T)
-
-    def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            build_projectors(np.eye(501))
 
 
 class TestInductance:
@@ -204,6 +199,10 @@ class TestInductance:
         sf = schur_stranded_form(system)
         oracle = projector_inductance(sf, system.K)
         assert abs(inductance_value(sf, system) - oracle) <= 1e-8 * oracle
+        # the sparse kernel basis spans the numerical kernel of the Schur mass
+        basis = kernel_basis(system).toarray()
+        assert basis.shape[1] == nullspace_basis(sf.M_bar.toarray(), KERNEL_TOL).shape[1]
+        assert np.max(np.abs(basis @ basis.T - build_projectors(sf.M_bar).Q)) <= 1e-7
 
     def test_invariant_under_basis_scaling(self, coarse_pair):
         sys, _ = coarse_pair

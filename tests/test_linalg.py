@@ -22,12 +22,13 @@ from foilfem.linalg import (
     RestrictedSpdSolver,
     canonical_csr,
     csr_product,
-    nullspace_basis,
     rank,
     restricted_spd_solve,
     sparse_factorize,
     write_matrix_market,
 )
+
+from oracles import nullspace_basis
 
 
 def random_spd(n, rng, shift=0.1):
@@ -282,6 +283,8 @@ class TestCsrProduct:
 
 
 class TestNullspaceBasis:
+    """The dense kernel oracle behind ``oracles.build_projectors``."""
+
     def test_diag_with_kernel(self):
         q = nullspace_basis(np.diag([1.0, 0.0]), 1e-12)
         assert q.shape == (2, 1)

@@ -189,7 +189,8 @@ class TestCouplingBlocks:
     def test_G_matches_direct_quadrature(self):
         mesh, disc, mats = toy_setup(h=0.5)
         basis = VoltageBasis(3)
-        g = assemble_G_original(mesh, mats, disc, TOY_SPEC, basis)
+        x = distribution_coefficients(mesh, disc)
+        g = assemble_G_original(mesh, mats, disc, TOY_SPEC, basis, x)
         # independent oracle: loop quadrature points directly
         bary, weights = QUADRATURE_RULES[disc.quad_degree]
         sigma = mats.material(int(RegionTag.FOIL_WINDING)).sigma[1]
@@ -220,8 +221,9 @@ class TestCouplingBlocks:
 
         base = VoltageBasis(3)
         perm = [2, 0, 1]
-        g = assemble_G_original(mesh, mats, disc, TOY_SPEC, base)
-        gp = assemble_G_original(mesh, mats, disc, TOY_SPEC, Permuted(base, perm))
+        x = distribution_coefficients(mesh, disc)
+        g = assemble_G_original(mesh, mats, disc, TOY_SPEC, base, x)
+        gp = assemble_G_original(mesh, mats, disc, TOY_SPEC, Permuted(base, perm), x)
         assert np.array_equal(gp, g[np.ix_(perm, perm)])
 
     def test_Ge_scalar_toy(self):
@@ -327,7 +329,8 @@ class TestExactConductance:
         errors = []
         for _ in range(3):
             disc = FieldDiscretization.from_mesh(mesh)
-            g = assemble_G_original(mesh, mats, disc, SPEC, basis)
+            x = distribution_coefficients(mesh, disc)
+            g = assemble_G_original(mesh, mats, disc, SPEC, basis, x)
             errors.append(float(np.linalg.norm(g - exact) / np.linalg.norm(exact)))
             mesh = refine_uniform(mesh)
         # measured: hat 0.13, 2.4e-6, 4.0e-8; legendre 3.4e-2, 8.4e-4, 1.5e-5
