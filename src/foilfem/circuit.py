@@ -390,9 +390,19 @@ def _stamp(parts: list, rows, cols, vals) -> None:
 
 
 def _block(parts: list, matrix, row0: int, col0: int, scale: float = 1.0) -> None:
-    """Stamp ``scale * matrix`` with its entry (0, 0) at ``(row0, col0)``."""
-    coo = sp.coo_matrix(matrix)
-    _stamp(parts, coo.row + row0, coo.col + col0, scale * coo.data)
+    """Stamp ``scale * matrix`` with its entry (0, 0) at ``(row0, col0)``.
+
+    The entries go in row-major order: a sparse block's in CSR storage order, a dense
+    block's nonzeros as ``np.nonzero`` lists them.
+    """
+    if sp.issparse(matrix):
+        csr = matrix.tocsr()
+        rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+        cols, vals = csr.indices, csr.data
+    else:
+        rows, cols = np.nonzero(matrix)
+        vals = matrix[rows, cols]
+    _stamp(parts, rows + row0, cols + col0, scale * vals)
 
 
 def _csr(parts: list, n: int) -> sp.csr_matrix:

@@ -4,18 +4,21 @@ Constant step size, one factorization of ``E/dt + A`` per run, deterministic
 output.  Every run starts from the all-zero state, checked against the
 algebraic rows by :func:`consistent_zero_start`.  Each source waveform is
 evaluated once on the whole time grid and summed per row before the loop.
-A system of at most ``PROPAGATOR_MAX_ROWS`` unknowns steps with the
-amplification matrix of :func:`propagator`, one BLAS ``dgemv`` per step; a
-larger one solves ``E/dt + A`` at every step.  The loop steps in blocks of
-``BLOCK_STEPS`` states: it writes each state into a preallocated block and,
-once per block, copies the state entries the probes read and tests the block
-for divergence; each probe's (i, v) trace is derived from the copied entries
-after the loop.  Divergence (a state entry whose
+A system of at most ``PROPAGATOR_MAX_ROWS`` unknowns steps with implicit
+Euler's block propagator (:func:`block_propagator`): the states of a block of
+``BLOCK_STEPS`` steps are one matrix product of the block's start state and
+source values.  A larger system solves ``E/dt + A`` at every step.  The loop
+steps in chunks of whole blocks, 256 states up to ``PROPAGATOR_MAX_ROWS``
+unknowns and fewer above, so that a chunk's table holds at most
+``CHUNK_ENTRIES`` entries: it writes each state into the preallocated table
+and, once per chunk, copies the state entries the probes read and tests the
+chunk for divergence; each probe's (i, v) trace is derived from the copied
+entries after the loop.  Divergence (a state entry whose
 magnitude is not at most ``BLOWUP_BOUND``, which includes NaN and inf) is a
 reportable outcome, not an error: the integrator marks the first diverged
 step and returns the partial series up to it, so unstable configurations can
-be plotted.  The steps after it in its block (up to ``BLOCK_STEPS - 1 = 63``)
-are computed too and thrown away.
+be plotted.  The steps after it in its chunk (up to 255) are computed too and
+thrown away.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv
+from scipy.linalg.blas import dgemm, dgemv
 
 from .circuit import DAESystem
 from .errors import (
@@ -36,16 +39,26 @@ from .linalg import csr_product, sparse_factorize
 
 MAX_STEPS = 10_000_000
 BLOWUP_BOUND = 1e12  # a state entry beyond this magnitude marks divergence
-BLOCK_STEPS = 64  # states stepped between two divergence tests and probe copies
+# Steps one row of the block propagator spans (B, see block_propagator).
+BLOCK_STEPS = 8
+# Most rows of one BLAS product: a chunk's blocks, and a panel of a power of T.  With OpenBLAS
+# 0.3.31 (x86-64), dgemm products of up to 200 rows gave the same bits under one and two
+# threads and products of 239 and 300 rows did not.
+BLAS_ROWS = 32
 ZERO_START_ATOL = 1e-12  # largest source magnitude a zero start leaves on an algebraic row
 GRID_RTOL = 1e-9  # how far n_steps * dt may miss the duration, relative to it
-# Largest system stepped with its amplification matrix, one dgemv per step, instead of a CSR
-# product and a SuperLU solve.  Per step (2-vCPU Xeon, OpenBLAS 0.3.31, one thread): 3.4 vs
-# 12.4 us at 91 rows and 10.8 vs 35.7 us at 238 (levels 0 and 1), but 564 vs 179 us at 1203
-# (level 2, where T takes 11.6 MB); dgemv takes 36 us at 400 rows and 68 us at 500, so the
-# per-step crossover is near 500 rows.  Forming T costs one solve per row (4.8 ms at 238), and
-# at 300 rows T takes 0.72 MB, which stays in a core's 2 MB L2 cache.
+# Largest system stepped with the block propagator instead of a CSR product and a SuperLU
+# solve per step.  Per step (2-vCPU Xeon, OpenBLAS 0.3.31, one thread): 1.0 vs 8.5 us at 91
+# rows and 3.7 vs 17.4 us at 238 (levels 0 and 1), 5.3 vs 9.3 us on a 299-row RLC ladder.
+# The set-up is one solve per row for T (0.17, 1.5 and 0.64 ms) and B - 1 products for its
+# powers (0.24, 4.8 and 10.4 ms); at 300 rows the block propagator takes 5.9 MB.
 PROPAGATOR_MAX_ROWS = 300
+# Most entries of the table that holds a chunk's states, the steps between two divergence tests
+# and probe copies: BLAS_ROWS blocks (256 steps) up to PROPAGATOR_MAX_ROWS unknowns, 56 steps
+# at level 2 (1203 unknowns).  The table stays within 600 KB, in a core's 2 MB L2 cache; a
+# 2.5 MB table (256 steps at level 2) took the stepping loop's own time in five fig5 runs from
+# 27 to 50 ms (cProfile).
+CHUNK_ENTRIES = BLAS_ROWS * BLOCK_STEPS * PROPAGATOR_MAX_ROWS
 
 
 @dataclass(frozen=True)
@@ -116,29 +129,59 @@ def propagator(lhs, e_over_dt, rows):
     """Implicit Euler's amplification matrix and source columns, each from one block solve.
 
     ``lhs`` is the :class:`~foilfem.linalg.Factorization` of ``E/dt + A``.  Returns
-    ``T = lhs^-1 (E/dt)``, Fortran-ordered for BLAS ``dgemv``, and ``W`` whose column
-    ``r`` is ``lhs^-1 e_{rows[r]}``, so that a step with the source values ``s_r`` on
-    ``rows`` is ``y <- T y + sum_r s_r W[:, r]``.  The spectral radius of ``T`` above 1
-    is the instability of a run.
+    ``T = lhs^-1 (E/dt)``, Fortran-ordered for BLAS, and ``W`` whose column ``r`` is
+    ``lhs^-1 e_{rows[r]}``, so that one step with the source values ``s_r`` on ``rows`` is
+    ``y <- T y + sum_r s_r W[:, r]``; :func:`block_propagator` chains ``BLOCK_STEPS`` such
+    steps into one product.  The spectral radius of ``T`` above 1 is the instability of a
+    run.
     """
     amplification = np.asfortranarray(lhs.solve(e_over_dt.toarray()))
     columns = lhs.solve(np.eye(lhs.n)[:, rows])
     return amplification, columns
 
 
+def block_propagator(amplification, columns):
+    """The states of a block of ``B = BLOCK_STEPS`` steps as linear maps of its inputs.
+
+    A block's input row is ``u = [y_0, s_1, ..., s_B]``: its start state and the source
+    values of its steps, each ``s_m`` ordered as the columns of ``W = columns``.  Its
+    states are ``y_j = T^j y_0 + sum_{m <= j} T^(j-m) W s_m``.  Returns ``inner`` with
+    ``u @ inner = [y_1, ..., y_(B-1)]`` and ``final`` with ``final @ u = y_B``, both
+    Fortran-ordered for BLAS.  Forming them takes ``B - 1`` products with ``T``, each in
+    panels of at most ``BLAS_ROWS`` rows, which give the powers ``T^j`` together with the
+    impulse responses ``T^j W``.
+    """
+    n, r = columns.shape
+    inner = np.zeros((n + BLOCK_STEPS * r, (BLOCK_STEPS - 1) * n), order="F")
+    last = np.zeros((n + BLOCK_STEPS * r, n))
+    # gains[j - 1] maps u to y_j: (T^j)^T = (T^(j-1))^T T^T, and (T^(j-1) W)^T likewise
+    gains = [inner[:, j * n : (j + 1) * n] for j in range(BLOCK_STEPS - 1)] + [last]
+    gains[0][:n] = amplification.T
+    gains[0][n : n + r] = columns.T
+    for j, (previous, gain) in enumerate(zip(gains, gains[1:]), start=1):
+        for top in range(0, n + r, BLAS_ROWS):
+            rows = slice(top, min(top + BLAS_ROWS, n + r))
+            gain[rows] = dgemm(1.0, previous[rows], amplification, trans_b=True)
+        # s_m acts on y_(j+1) as s_(m-1) acts on y_j
+        gain[n + r : n + (j + 1) * r] = previous[n : n + j * r]
+    return inner, last.T
+
+
 def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSeries:
     """March ``(E/dt + A) y_next = (E/dt) y + s(t_next)`` from the zero state.
 
     ``s`` is :meth:`DAESystem.row_sources` on the whole grid, evaluated once.  Up to
-    ``PROPAGATOR_MAX_ROWS`` unknowns a step is ``y <- T y + f_k`` (:func:`propagator`),
-    which differs from a per-step solve only in round-off and gives the same bits under
-    any BLAS thread count; larger systems solve with SuperLU's factors at each step.
-    The states go into a block of ``BLOCK_STEPS`` rows.  After each block,
-    one test of ``max|y| <= BLOWUP_BOUND`` per state finds the first diverged
-    step, if any, and one copy moves the probed entries into the trace table.
-    A run that diverges is cut at that step, exactly as a test after every
-    step would cut it; the up to 63 later steps of its block are computed and
-    thrown away.
+    ``PROPAGATOR_MAX_ROWS`` unknowns the steps go in blocks of ``BLOCK_STEPS``
+    (:func:`block_propagator`): one ``dgemv`` per block carries the state from a block's
+    start to the next, and one ``dgemm`` per chunk of ``BLAS_ROWS`` blocks gives the
+    states inside its blocks.  These differ from a per-step solve only in round-off, and
+    no BLAS product has more than ``BLAS_ROWS`` rows, so that the bits do not depend on
+    the BLAS thread count.  Larger systems solve with SuperLU's factors at each step.
+    The states of a chunk go into one preallocated table.  After each chunk, one test
+    of ``max|y| <= BLOWUP_BOUND`` per state finds the first diverged step, if any, and
+    one copy moves the probed entries into the trace table.  A run that diverges is cut
+    at that step, exactly as a test after every step would cut it; the up to 255 later
+    steps of its chunk are computed and thrown away.
     After the loop, R, C and I probes derive their current (``v / R``, the
     backward difference ``C dv/dt``, which is 0 at step 0, and the source
     waveform on the time grid); L, V and FW probes read theirs from the state.
@@ -162,27 +205,44 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
     recorded = np.zeros((n_steps + 1, len(watched) + 1))  # row 0 is the zero start
 
     y = consistent_zero_start(dae, cfg.t0)
+    n = y.shape[0]
     sources = dae.row_sources(times)
-    propagated = y.shape[0] <= PROPAGATOR_MAX_ROWS
+    # whole blocks, at most BLAS_ROWS of them, in a table of at most CHUNK_ENTRIES entries
+    chunk = np.empty((BLOCK_STEPS * max(1, min(BLAS_ROWS, CHUNK_ENTRIES // (BLOCK_STEPS * n))), n))
+    propagated = n <= PROPAGATOR_MAX_ROWS
     if propagated:
-        amplification, columns = propagator(lhs, e_over_dt, list(sources))
-        forcing = list(zip(sources.values(), columns.T))
+        inner, final = block_propagator(*propagator(lhs, e_over_dt, list(sources)))
+        # row c of ``forcing`` is block c's source values, s_1 .. s_B, each in row order;
+        # the steps past the grid's end, which fill its last block, have no source
+        n_blocks = -(-n_steps // BLOCK_STEPS)
+        grid = np.zeros((n_blocks * BLOCK_STEPS, len(sources)))
+        for r, values in enumerate(sources.values()):
+            grid[:n_steps, r] = values[1:]
+        forcing = grid.reshape(n_blocks, -1)
+        # row c of ``inputs`` is a chunk's block c input [y_0, s_1 .. s_B]; the row after
+        # the chunk's last block gets the start state of the next chunk
+        inputs = np.zeros((BLAS_ROWS + 1, n + forcing.shape[1]))
+        inputs[0, :n] = y
     else:
         product, solve = csr_product(e_over_dt), lhs.solve
         sources = [(row, values.tolist()) for row, values in sources.items()]
-    block = np.empty((min(BLOCK_STEPS, n_steps), y.shape[0]))
     diverged_at = None
-    for start in range(1, n_steps + 1, BLOCK_STEPS):
-        stop = min(start + BLOCK_STEPS, n_steps + 1)
-        states = block[: stop - start]
+    for start in range(1, n_steps + 1, len(chunk)):
+        stop = min(start + len(chunk), n_steps + 1)
+        states = chunk[: stop - start]
         if propagated:
-            # f_k = sum_r s_r(t_k) W[:, r] summed from 0.0 in row order, as one step's sum is
-            y = y.copy()  # may be a row of ``states``, which the forcing overwrites
-            states.fill(0.0)
-            for values, w in forcing:
-                states += np.multiply.outer(values[start:stop], w)
-            for state in states:
-                y = dgemv(1.0, amplification, y, 1.0, state, overwrite_y=True)
+            first = (start - 1) // BLOCK_STEPS
+            count = min(n_blocks - first, len(chunk) // BLOCK_STEPS)
+            inputs[:count, n:] = forcing[first : first + count]
+            for c in range(count):
+                inputs[c + 1, :n] = dgemv(1.0, final, inputs[c])
+            # the blocks are the product's rows; entry (c, (j - 1) n + i) is entry i of y_j in
+            # block c, for j < B, and y_B is the next block's start, already in ``inputs``
+            steps = dgemm(1.0, inputs[:count].T, inner, trans_a=True)
+            blocks = chunk.reshape(-1, BLOCK_STEPS, n)[:count]
+            blocks[:, :-1] = steps.T.reshape(BLOCK_STEPS - 1, n, count).transpose(2, 0, 1)
+            blocks[:, -1] = inputs[1 : count + 1, :n]
+            inputs[0, :n] = inputs[count, :n]
         else:
             # a source row's value added as a scalar is bit for bit the full s added: its
             # other rows hold +0.0, and a product entry, summed from +0.0, is never -0.0

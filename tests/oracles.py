@@ -294,11 +294,12 @@ def loop_refine_uniform(mesh):
 # probe traces after the loop and evaluated the sources on the whole grid: a per-step
 # source vector summed branch by branch, a per-step, per-probe read of the full state, an
 # optional initial state and optional full-state snapshots every ``snapshot_stride``
-# steps.  Up to ``PROPAGATOR_MAX_ROWS`` unknowns it steps as ``integrate`` does, with the
-# amplification matrix and source columns of ``propagator`` and one ``dgemv`` per step, the
-# forcing summed per step into a fresh vector; ``per_step_solve`` makes it solve
-# ``E/dt + A`` at every step instead, at any size.  ``integrate`` must reproduce its times,
-# traces and divergence step bit for bit.
+# steps.  Up to ``PROPAGATOR_MAX_ROWS`` unknowns it steps with the amplification matrix and
+# source columns of ``propagator`` and one ``dgemv`` per step, the forcing summed per step into
+# a fresh vector; ``integrate``, which chains ``BLOCK_STEPS`` such steps into one product, must
+# reproduce its times and divergence step exactly and its traces to round-off.
+# ``per_step_solve`` makes it solve ``E/dt + A`` at every step instead, at any size; above
+# ``PROPAGATOR_MAX_ROWS`` unknowns ``integrate`` must reproduce that bit for bit.
 
 
 def _loop_source(dae, t):
