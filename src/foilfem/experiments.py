@@ -108,6 +108,9 @@ class ExperimentConfig:
         if not self.yoke_permeability > 0.0:
             message = f"yoke_permeability must be positive, got {self.yoke_permeability!r}"
             raise ValidationError(message, key="yoke_permeability")
+        if self.amplitude == 0.0:  # fig4 and fig5 divide by the response it drives
+            message = f"amplitude must be nonzero, got {self.amplitude!r}"
+            raise ValidationError(message, key="amplitude")
 
     def to_text(self) -> str:
         return "".join(f"{f.name} = {getattr(self, f.name)!r}\n" for f in fields(self))

@@ -10,15 +10,18 @@ Euler's block propagator (:func:`block_propagator`): the states of a block of
 source values.  A larger system solves ``E/dt + A`` at every step.  The loop
 steps in chunks of whole blocks, 256 states up to ``PROPAGATOR_MAX_ROWS``
 unknowns and fewer above, so that a chunk's table holds at most
-``CHUNK_ENTRIES`` entries: it writes each state into the preallocated table
-and, once per chunk, copies the state entries the probes read and tests the
-chunk for divergence; each probe's (i, v) trace is derived from the copied
-entries after the loop.  Divergence (a state entry whose
-magnitude is not at most ``BLOWUP_BOUND``, which includes NaN and inf) is a
-reportable outcome, not an error: the integrator marks the first diverged
-step and returns the partial series up to it, so unstable configurations can
-be plotted.  The steps after it in its chunk (up to 255) are computed too and
-thrown away.
+``CHUNK_ENTRIES`` entries.  A block-propagator chunk whose inputs (its blocks'
+start states and source values) are small enough to bound every one of its
+states within ``BLOWUP_BOUND`` computes only the state entries the probes read.
+Every other chunk, and every chunk of a larger system, is computed in full: it
+writes each state into the preallocated table and, once per chunk, copies the
+state entries the probes read and tests the chunk for divergence.  Each probe's
+(i, v) trace is derived from the recorded entries after the loop.  Divergence
+(a state entry whose magnitude is not at most ``BLOWUP_BOUND``, which includes
+NaN and inf) is a reportable outcome, not an error: the integrator marks the
+first diverged step and returns the partial series up to it, so unstable
+configurations can be plotted.  The steps after it in its chunk (up to 255),
+which is always a chunk computed in full, are computed too and thrown away.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg.lapack import dlange
 
 from .circuit import DAESystem
 from .errors import (
@@ -48,10 +52,12 @@ BLAS_ROWS = 32
 ZERO_START_ATOL = 1e-12  # largest source magnitude a zero start leaves on an algebraic row
 GRID_RTOL = 1e-9  # how far n_steps * dt may miss the duration, relative to it
 # Largest system stepped with the block propagator instead of a CSR product and a SuperLU
-# solve per step.  Per step (2-vCPU Xeon, OpenBLAS 0.3.31, one thread): 1.0 vs 8.5 us at 91
-# rows and 3.7 vs 17.4 us at 238 (levels 0 and 1), 5.3 vs 9.3 us on a 299-row RLC ladder.
-# The set-up is one solve per row for T (0.17, 1.5 and 0.64 ms) and B - 1 products for its
-# powers (0.24, 4.8 and 10.4 ms); at 300 rows the block propagator takes 5.9 MB.
+# solve per step.  Per step of a 2,200-step run (2-vCPU Xeon, OpenBLAS 0.3.31, one thread;
+# medians of three measurements, between which the machine's speed varied by up to 40 %):
+# 0.9 vs 11.4 us at 91 rows and 2.4 vs 21.7 us at 238 (levels 0 and 1, current drive, one
+# probe), 2.7 vs 11.8 us on a 299-row RLC ladder probed at its source and 12.2 vs 16.2 us with
+# every branch probed.  The set-up is one solve per row for T (0.25, 2.3 and 0.8 ms) and B - 1
+# products for its powers (0.55, 6.8 and 12.9 ms); at 300 rows the block propagator takes 5.9 MB.
 PROPAGATOR_MAX_ROWS = 300
 # Most entries of the table that holds a chunk's states, the steps between two divergence tests
 # and probe copies: BLAS_ROWS blocks (256 steps) up to PROPAGATOR_MAX_ROWS unknowns, 56 steps
@@ -173,15 +179,22 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
     ``s`` is :meth:`DAESystem.row_sources` on the whole grid, evaluated once.  Up to
     ``PROPAGATOR_MAX_ROWS`` unknowns the steps go in blocks of ``BLOCK_STEPS``
     (:func:`block_propagator`): one ``dgemv`` per block carries the state from a block's
-    start to the next, and one ``dgemm`` per chunk of ``BLAS_ROWS`` blocks gives the
-    states inside its blocks.  These differ from a per-step solve only in round-off, and
-    no BLAS product has more than ``BLAS_ROWS`` rows, so that the bits do not depend on
-    the BLAS thread count.  Larger systems solve with SuperLU's factors at each step.
-    The states of a chunk go into one preallocated table.  After each chunk, one test
-    of ``max|y| <= BLOWUP_BOUND`` per state finds the first diverged step, if any, and
-    one copy moves the probed entries into the trace table.  A run that diverges is cut
-    at that step, exactly as a test after every step would cut it; the up to 255 later
-    steps of its chunk are computed and thrown away.
+    start to the next.  Once per run, the largest column abs-sum of its ``inner`` (at least
+    1) bounds how far a block's states can exceed its input row ``u``; a chunk whose
+    inputs, block ends included, are all within ``0.5 * BLOWUP_BOUND`` over that gain is
+    certified bounded, and one ``dgemm`` of its input rows with the probed columns of
+    ``inner`` gives the probed entries of the states inside its blocks; no state of it is
+    tested.  Any other chunk (one with an input beyond that bound, or NaN) is computed in
+    full: one ``dgemm`` with the whole of ``inner`` gives every state inside its blocks.
+    These differ from a per-step solve only in round-off, and no BLAS product has more
+    than ``BLAS_ROWS`` rows, so that the bits do not depend on the BLAS thread count.
+    Larger systems solve with SuperLU's factors at each step and compute every chunk in
+    full.  The states of a chunk computed in full go into one preallocated table.  After
+    it, one test of ``max|y| <= BLOWUP_BOUND`` per state finds the first diverged step,
+    if any, and one copy moves the probed entries into the trace table.  A run that
+    diverges is cut at that step, exactly as a test after every step would cut it; the
+    up to 255 later steps of its chunk, which is computed in full, are computed and
+    thrown away.
     After the loop, R, C and I probes derive their current (``v / R``, the
     backward difference ``C dv/dt``, which is 0 at step 0, and the source
     waveform on the time grid); L, V and FW probes read theirs from the state.
@@ -202,7 +215,8 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
     watched = sorted(entries - {-1})
     column = {index: c for c, index in enumerate([*watched, -1])}
     watched = np.asarray(watched, dtype=np.intp)
-    recorded = np.zeros((n_steps + 1, len(watched) + 1))  # row 0 is the zero start
+    # row 0 is the zero start; the BLOCK_STEPS spare rows take the tail of the last block
+    recorded = np.zeros((n_steps + 1 + BLOCK_STEPS, len(watched) + 1))
 
     y = consistent_zero_start(dae, cfg.t0)
     n = y.shape[0]
@@ -212,6 +226,16 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
     propagated = n <= PROPAGATOR_MAX_ROWS
     if propagated:
         inner, final = block_propagator(*propagator(lhs, e_over_dt, list(sources)))
+        # an entry of u @ inner is at most max|u| times its column's abs-sum, so a chunk whose
+        # inputs are all at most ``input_bound`` has every state within BLOWUP_BOUND: the
+        # factor 0.5 absorbs a dot product's round-off, and a gain of at least 1 covers the
+        # block ends, which are inputs.  The gain is the one-norm, the largest column abs-sum,
+        # summed in place; a NaN in ``inner`` makes it NaN, which certifies nothing.
+        input_bound = 0.5 * BLOWUP_BOUND / np.maximum(dlange("1", inner), 1.0)
+        # column (j - 1) w + k of ``probed`` gives watched entry k of y_j, for j < B
+        probed = np.asfortranarray(
+            inner[:, (n * np.arange(BLOCK_STEPS - 1)[:, None] + watched).ravel()]
+        )
         # row c of ``forcing`` is block c's source values, s_1 .. s_B, each in row order;
         # the steps past the grid's end, which fill its last block, have no source
         n_blocks = -(-n_steps // BLOCK_STEPS)
@@ -236,13 +260,25 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
             inputs[:count, n:] = forcing[first : first + count]
             for c in range(count):
                 inputs[c + 1, :n] = dgemv(1.0, final, inputs[c])
-            # the blocks are the product's rows; entry (c, (j - 1) n + i) is entry i of y_j in
-            # block c, for j < B, and y_B is the next block's start, already in ``inputs``
-            steps = dgemm(1.0, inputs[:count].T, inner, trans_a=True)
-            blocks = chunk.reshape(-1, BLOCK_STEPS, n)[:count]
-            blocks[:, :-1] = steps.T.reshape(BLOCK_STEPS - 1, n, count).transpose(2, 0, 1)
-            blocks[:, -1] = inputs[1 : count + 1, :n]
+            certified = np.abs(inputs[: count + 1]).max() <= input_bound  # False for NaN
+            if certified:
+                # the probed entries only: entry (c, (j - 1) w + k) is watched entry k of y_j
+                # in block c, and y_B is the next block's start, already in ``inputs``
+                traces = recorded[start : start + count * BLOCK_STEPS]
+                traces = traces.reshape(count, BLOCK_STEPS, -1)
+                watched_states = dgemm(1.0, inputs[:count].T, probed, trans_a=True)
+                traces[:, :-1, :-1] = watched_states.reshape(count, BLOCK_STEPS - 1, len(watched))
+                traces[:, -1, :-1] = inputs[1 : count + 1, watched]
+            else:
+                # the blocks are the product's rows; entry (c, (j - 1) n + i) is entry i of
+                # y_j in block c, for j < B
+                steps = dgemm(1.0, inputs[:count].T, inner, trans_a=True)
+                blocks = chunk.reshape(-1, BLOCK_STEPS, n)[:count]
+                blocks[:, :-1] = steps.T.reshape(BLOCK_STEPS - 1, n, count).transpose(2, 0, 1)
+                blocks[:, -1] = inputs[1 : count + 1, :n]
             inputs[0, :n] = inputs[count, :n]
+            if certified:
+                continue
         else:
             # a source row's value added as a scalar is bit for bit the full s added: its
             # other rows hold +0.0, and a product entry, summed from +0.0, is never -0.0

@@ -297,7 +297,8 @@ def loop_refine_uniform(mesh):
 # steps.  Up to ``PROPAGATOR_MAX_ROWS`` unknowns it steps with the amplification matrix and
 # source columns of ``propagator`` and one ``dgemv`` per step, the forcing summed per step into
 # a fresh vector; ``integrate``, which chains ``BLOCK_STEPS`` such steps into one product, must
-# reproduce its times and divergence step exactly and its traces to round-off.
+# reproduce its times and divergence step exactly and its traces to round-off.  The oracle tests
+# every whole state; ``integrate`` skips that for a chunk whose inputs certify it bounded.
 # ``per_step_solve`` makes it solve ``E/dt + A`` at every step instead, at any size; above
 # ``PROPAGATOR_MAX_ROWS`` unknowns ``integrate`` must reproduce that bit for bit.
 

@@ -179,6 +179,25 @@ class TestProgramErrors:
         assert captured.out == ""
         assert captured.err == "foilfem: error: frequency must be positive, got 0.0 (line 1)\n"
 
+    @pytest.mark.parametrize("command", ["fig4", "fig5"])
+    def test_zero_amplitude_is_rejected_before_meshing(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        # the studies would run every transient and then divide by a zero response
+        def forbidden(*args, **kwargs):
+            raise AssertionError("meshed before the configuration was checked")
+
+        monkeypatch.setattr("foilfem.experiments.build_mesh", forbidden)
+        monkeypatch.setattr("foilfem.cli.build_mesh", forbidden)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("mesh_level = 0\namplitude = 0.0\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "foilfem: error: amplitude must be nonzero, got 0.0 (line 2)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value, message",
         [

@@ -66,7 +66,7 @@ class TestConfig:
         [("drive", "I"), ("mode", "ge"), ("basis_family", "chebyshev"), ("n_basis", 0),
          ("mesh_level", -1), ("dt", 0.0), ("dt", -1e-4), ("dt", float("inf")), ("duration", 0.0),
          ("duration", float("nan")), ("duration", float("inf")), ("frequency", 0.0),
-         ("frequency", -50.0)],
+         ("frequency", -50.0), ("amplitude", 0.0)],
     )
     def test_invalid_value_rejected_naming_the_key(self, tmp_path, key, value):
         with pytest.raises(ValidationError, match=f"^{key} must") as err:

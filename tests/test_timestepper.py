@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.blas import dgemm
 
 import foilfem
+from foilfem import timestepper
 from foilfem.circuit import (
     DAESystem,
     Probe,
@@ -32,6 +34,7 @@ from foilfem.linalg import sparse_factorize
 from foilfem.timestepper import (
     BLAS_ROWS,
     BLOCK_STEPS,
+    BLOWUP_BOUND,
     PROPAGATOR_MAX_ROWS,
     StepperConfig,
     consistent_zero_start,
@@ -293,6 +296,90 @@ class TestDivergenceAtBlockEdges:
         assert len(series.times) == 2 and math.isinf(series.currents["y"][1])
 
 
+def scaled_spike_system(gain, spikes):
+    """``y0 = s(t)`` and ``y1 = gain y0`` as an algebraic DAE (E = 0), a probe reading y1.
+
+    ``s`` is 0 except at the times that ``spikes`` maps to a value.  The block propagator
+    maps a step's source value to its y1 by ``gain``, the largest column abs-sum of its
+    table; the probe leaves y0 unwatched, so the product for the probed entries has 7
+    columns and the full table of a block's inner states 14.
+    """
+
+    def waveform(t):
+        return sum((np.where(t == time, value, 0.0) for time, value in spikes.items()), 0.0)
+
+    probe = Probe(kind="L", pos_index=-1, neg_index=-1, current_index=1, value=1.0)
+    return DAESystem(
+        E=sp.csr_matrix((2, 2)),
+        A=sp.csr_matrix(np.array([[1.0, 0.0], [-gain, 1.0]])),
+        source_rows=((0, waveform, 1.0),),
+        layout={},
+        probes={"y1": probe},
+    )
+
+
+@pytest.fixture
+def dgemm_widths(monkeypatch):
+    """The column count of each ``dgemm`` product that ``integrate`` makes, in order."""
+    widths = []
+
+    def counted(alpha, a, b, **kwargs):
+        widths.append(b.shape[1])
+        return dgemm(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(timestepper, "dgemm", counted)
+    return widths
+
+
+class TestBoundCertificate:
+    """A chunk whose inputs certify every state bounded computes only the probed entries."""
+
+    # BLOWUP_BOUND / 10.5 rounds so that 10.5 times it is one unit in the last place beyond
+    # the bound; the spike itself is the certificate's bound without its factor 0.5, and it
+    # is below BLOWUP_BOUND / 2, the bound with a gain of 1
+    @pytest.mark.parametrize("step", [3, 259], ids=["inside-first-block", "inside-second-chunk"])
+    def test_spike_between_zero_block_ends_is_found(self, step):
+        spike = BLOWUP_BOUND / 10.5
+        assert 10.5 * spike > BLOWUP_BOUND
+        dae = scaled_spike_system(10.5, {step: spike})
+        cfg = StepperConfig(t0=0.0, t_end=300.0, dt=1.0)
+        series = integrate(dae, cfg)
+        expected, _ = loop_integrate(dae, cfg)
+        assert expected.diverged_at == step
+        assert_close_series(series, expected)
+
+    def test_bounded_states_beyond_the_certificate_keep_the_later_chunks_certified(
+        self, dgemm_widths
+    ):
+        # y1 = 0.945 BLOWUP_BOUND at steps 3 and 600, in the first and third chunks of five
+        dae = scaled_spike_system(10.5, {3: 0.09 * BLOWUP_BOUND, 600: -0.09 * BLOWUP_BOUND})
+        cfg = StepperConfig(t0=0.0, t_end=1100.0, dt=1.0)
+        series = integrate(dae, cfg)
+        expected, _ = loop_integrate(dae, cfg)
+        assert expected.diverged_at is None
+        assert_close_series(series, expected)
+        assert series.currents["y1"][[3, 600]].tolist() == [0.945e12, -0.945e12]
+        # the chunk products come last: the full table for a chunk with a spike, else the
+        # probed entries
+        assert dgemm_widths[-5:] == [14, 7, 14, 7, 7]
+
+    def test_an_overflowed_source_column_diverges_at_the_first_step(self):
+        # y = s / 1e-310: the source column overflows to inf, so the all-zero inputs give a
+        # NaN block end (0 * inf), which fails the certificate, and NaN states, which the
+        # full table finds at step 1
+        probe = Probe(kind="L", pos_index=-1, neg_index=-1, current_index=0, value=1.0)
+        dae = DAESystem(
+            E=sp.csr_matrix((1, 1)),
+            A=sp.csr_matrix(np.array([[1e-310]])),
+            source_rows=((0, SourceWaveform("dc", 0.0), 1.0),),
+            layout={},
+            probes={"y": probe},
+        )
+        series = integrate(dae, StepperConfig(t0=0.0, t_end=20.0, dt=1.0))
+        assert series.diverged_at == 1
+        assert len(series.times) == 2 and math.isnan(series.currents["y"][1])
+
+
 @cache
 def foil_system(basis_family, exact_g=False, level=0):
     cfg = ExperimentConfig(basis_family=basis_family)
@@ -473,6 +560,26 @@ class TestPropagator:
         series = integrate(dae, StepperConfig(t0=0.0, t_end=n_steps * dt, dt=dt))
         assert series.diverged_at == diverged_at
         assert (radius > 1.0) == (series.diverged_at is not None)
+
+    # a bounded run certifies every chunk and never forms the full table of inner states,
+    # (BLOCK_STEPS - 1) n columns; the diverging run forms it for the chunk that diverges
+    @pytest.mark.parametrize(
+        "drive, mode, basis_family, dt, diverged_at",
+        [
+            ("i", "Ge", "legendre", 1e-5, None),
+            ("v", "G", "legendre", 1e-5, None),
+            ("i", "G", "hat", 1e-4, 69),
+        ],
+        ids=["i-Ge", "v-G", "hat-exactG-diverges"],
+    )
+    def test_only_an_uncertified_chunk_forms_the_full_table(
+        self, drive, mode, basis_family, dt, diverged_at, dgemm_widths
+    ):
+        dae = foil_dae(drive, mode, basis_family, exact_g=diverged_at is not None)
+        series = integrate(dae, StepperConfig(t0=0.0, t_end=22.0e-3, dt=dt))
+        assert series.diverged_at == diverged_at
+        full_tables = dgemm_widths.count((BLOCK_STEPS - 1) * dae.E.shape[0])
+        assert full_tables == (0 if diverged_at is None else 1)
 
     def test_trace_bytes_do_not_depend_on_the_blas_thread_count(self):
         source_root = str(Path(foilfem.__file__).resolve().parents[1])
