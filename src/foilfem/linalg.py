@@ -9,7 +9,8 @@ are treated as immutable; every public function is re-entrant and a
 :class:`Factorization` may be shared read-only between threads.
 
 :func:`csr_product` is ``a @ x`` for a CSR matrix, bit for bit, without the
-operator's dispatch; the time stepper calls it once per step on a large system.
+operator's dispatch; the time stepper calls it once per step of a chunk it steps
+with the solve.
 
 The direct solver is SuperLU with a fill-reducing column ordering; a
 :class:`Factorization` solves with ``SuperLU.solve``, one right-hand side or a

@@ -4,24 +4,22 @@ Constant step size, one factorization of ``E/dt + A`` per run, deterministic
 output.  Every run starts from the all-zero state, checked against the
 algebraic rows by :func:`consistent_zero_start`.  Each source waveform is
 evaluated once on the whole time grid and summed per row before the loop.
-A system of at most ``PROPAGATOR_MAX_ROWS`` unknowns steps with implicit
-Euler's block propagator (:func:`block_propagator`): the states of a block of
-``BLOCK_STEPS`` steps are one matrix product of the block's start state and
-source values.  A larger system solves ``E/dt + A`` at every step.  The loop
-steps in chunks of whole blocks, 256 states up to ``PROPAGATOR_MAX_ROWS``
-unknowns and fewer above, so that a chunk's table holds at most
-``CHUNK_ENTRIES`` entries.  A block-propagator chunk whose inputs (its blocks'
-start states and source values) are small enough to bound every one of its
-states within ``BLOWUP_BOUND`` computes only the state entries the probes read.
-Every other chunk, and every chunk of a larger system, is computed in full: it
-writes each state into the preallocated table and, once per chunk, copies the
-state entries the probes read and tests the chunk for divergence.  Each probe's
-(i, v) trace is derived from the recorded entries after the loop.  Divergence
-(a state entry whose magnitude is not at most ``BLOWUP_BOUND``, which includes
-NaN and inf) is a reportable outcome, not an error: the integrator marks the
-first diverged step and returns the partial series up to it, so unstable
-configurations can be plotted.  The steps after it in its chunk (up to 255),
-which is always a chunk computed in full, are computed too and thrown away.
+A system of at most ``PROPAGATOR_MAX_ROWS`` unknowns carries its state from block to
+block of ``BLOCK_STEPS`` steps with implicit Euler's block propagator
+(:func:`block_propagator`).  The loop steps in chunks of whole blocks, 256 states up to
+``PROPAGATOR_MAX_ROWS`` unknowns and fewer above, so that a chunk's table holds at most
+``CHUNK_ENTRIES`` entries.  Each chunk goes through one of two kernels.  A
+block-propagator chunk whose inputs (its blocks' start states and source values) are
+small enough to bound every one of its states within ``BLOWUP_BOUND`` computes only the
+state entries the probes read, and cannot diverge.  Every other chunk, and every chunk
+of a larger system, steps from its start state with a solve of ``E/dt + A`` per step: it
+writes each state into the preallocated table and, once per chunk, copies the state
+entries the probes read and tests the chunk for divergence.  Each probe's (i, v) trace
+is derived from the recorded entries after the loop.  Divergence (a state entry whose
+magnitude is not at most ``BLOWUP_BOUND``, which includes NaN and inf) is a reportable
+outcome, not an error: the integrator marks the first diverged step and returns the
+partial series up to it, so unstable configurations can be plotted.  The steps after it
+in its chunk (up to 255) are computed too and thrown away.
 """
 
 from __future__ import annotations
@@ -176,25 +174,24 @@ def block_propagator(amplification, columns):
 def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSeries:
     """March ``(E/dt + A) y_next = (E/dt) y + s(t_next)`` from the zero state.
 
-    ``s`` is :meth:`DAESystem.row_sources` on the whole grid, evaluated once.  Up to
-    ``PROPAGATOR_MAX_ROWS`` unknowns the steps go in blocks of ``BLOCK_STEPS``
-    (:func:`block_propagator`): one ``dgemv`` per block carries the state from a block's
-    start to the next.  Once per run, the largest column abs-sum of its ``inner`` (at least
-    1) bounds how far a block's states can exceed its input row ``u``; a chunk whose
-    inputs, block ends included, are all within ``0.5 * BLOWUP_BOUND`` over that gain is
-    certified bounded, and one ``dgemm`` of its input rows with the probed columns of
-    ``inner`` gives the probed entries of the states inside its blocks; no state of it is
-    tested.  Any other chunk (one with an input beyond that bound, or NaN) is computed in
-    full: one ``dgemm`` with the whole of ``inner`` gives every state inside its blocks.
-    These differ from a per-step solve only in round-off, and no BLAS product has more
-    than ``BLAS_ROWS`` rows, so that the bits do not depend on the BLAS thread count.
-    Larger systems solve with SuperLU's factors at each step and compute every chunk in
-    full.  The states of a chunk computed in full go into one preallocated table.  After
-    it, one test of ``max|y| <= BLOWUP_BOUND`` per state finds the first diverged step,
-    if any, and one copy moves the probed entries into the trace table.  A run that
-    diverges is cut at that step, exactly as a test after every step would cut it; the
-    up to 255 later steps of its chunk, which is computed in full, are computed and
-    thrown away.
+    ``s`` is :meth:`DAESystem.row_sources` on the whole grid, evaluated once.  The steps go
+    in chunks through one of two kernels.  Up to ``PROPAGATOR_MAX_ROWS`` unknowns the steps
+    go in blocks of ``BLOCK_STEPS`` (:func:`block_propagator`): one ``dgemv`` per block
+    carries the state from a block's start to the next.  Once per run, the largest column
+    abs-sum of its ``inner`` (at least 1) bounds how far a block's states can exceed its
+    input row ``u``; a chunk whose inputs, block ends included, are all within
+    ``0.5 * BLOWUP_BOUND`` over that gain is certified bounded, and one ``dgemm`` of its
+    input rows with the probed columns of ``inner`` gives the probed entries of the states
+    inside its blocks; no state of it is tested.  These differ from a per-step solve only in
+    round-off, and no BLAS product has more than ``BLAS_ROWS`` rows, so that the bits do not
+    depend on the BLAS thread count.  Any other chunk (one with an input beyond that bound,
+    or NaN), and every chunk of a larger system, is stepped from its start state with
+    SuperLU's factors: ``rhs = (E/dt) y`` plus the source rows, then one solve per step, the
+    same bits as the textbook step.  Its states go into one preallocated table.  After it,
+    one test of ``max|y| <= BLOWUP_BOUND`` per state finds the first diverged step, if any,
+    and one copy moves the probed entries into the trace table; the next chunk starts from
+    its last state.  A run that diverges is cut at that step, exactly as a test after every
+    step would cut it; the up to 255 later steps of its chunk are computed and thrown away.
     After the loop, R, C and I probes derive their current (``v / R``, the
     backward difference ``C dv/dt``, which is 0 at step 0, and the source
     waveform on the time grid); L, V and FW probes read theirs from the state.
@@ -244,24 +241,23 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
             grid[:n_steps, r] = values[1:]
         forcing = grid.reshape(n_blocks, -1)
         # row c of ``inputs`` is a chunk's block c input [y_0, s_1 .. s_B]; the row after
-        # the chunk's last block gets the start state of the next chunk
+        # the chunk's last block gets its end state, the start state of the next chunk
         inputs = np.zeros((BLAS_ROWS + 1, n + forcing.shape[1]))
-        inputs[0, :n] = y
-    else:
-        product, solve = csr_product(e_over_dt), lhs.solve
-        sources = [(row, values.tolist()) for row, values in sources.items()]
+    # the solve kernel's operands, bound once: the product with E/dt, the solve and each
+    # source row's values
+    product, solve = csr_product(e_over_dt), lhs.solve
+    sources = [(row, values.tolist()) for row, values in sources.items()]
     diverged_at = None
     for start in range(1, n_steps + 1, len(chunk)):
         stop = min(start + len(chunk), n_steps + 1)
-        states = chunk[: stop - start]
         if propagated:
             first = (start - 1) // BLOCK_STEPS
             count = min(n_blocks - first, len(chunk) // BLOCK_STEPS)
+            inputs[0, :n] = y
             inputs[:count, n:] = forcing[first : first + count]
             for c in range(count):
                 inputs[c + 1, :n] = dgemv(1.0, final, inputs[c])
-            certified = np.abs(inputs[: count + 1]).max() <= input_bound  # False for NaN
-            if certified:
+            if np.abs(inputs[: count + 1]).max() <= input_bound:  # False for NaN
                 # the probed entries only: entry (c, (j - 1) w + k) is watched entry k of y_j
                 # in block c, and y_B is the next block's start, already in ``inputs``
                 traces = recorded[start : start + count * BLOCK_STEPS]
@@ -269,25 +265,18 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
                 watched_states = dgemm(1.0, inputs[:count].T, probed, trans_a=True)
                 traces[:, :-1, :-1] = watched_states.reshape(count, BLOCK_STEPS - 1, len(watched))
                 traces[:, -1, :-1] = inputs[1 : count + 1, watched]
-            else:
-                # the blocks are the product's rows; entry (c, (j - 1) n + i) is entry i of
-                # y_j in block c, for j < B
-                steps = dgemm(1.0, inputs[:count].T, inner, trans_a=True)
-                blocks = chunk.reshape(-1, BLOCK_STEPS, n)[:count]
-                blocks[:, :-1] = steps.T.reshape(BLOCK_STEPS - 1, n, count).transpose(2, 0, 1)
-                blocks[:, -1] = inputs[1 : count + 1, :n]
-            inputs[0, :n] = inputs[count, :n]
-            if certified:
+                y = inputs[count, :n].copy()
                 continue
-        else:
-            # a source row's value added as a scalar is bit for bit the full s added: its
-            # other rows hold +0.0, and a product entry, summed from +0.0, is never -0.0
-            for j, k in enumerate(range(start, stop)):
-                rhs = product(y)
-                for row, values in sources:
-                    rhs[row] += values[k]
-                y = solve(rhs)
-                states[j] = y
+        # the solve kernel, for every chunk the certificate leaves out; ``y`` is its start.
+        # A source row's value added as a scalar is bit for bit the full s added: its other
+        # rows hold +0.0, and a product entry, summed from +0.0, is never -0.0
+        states = chunk[: stop - start]
+        for j, k in enumerate(range(start, stop)):
+            rhs = product(y)
+            for row, values in sources:
+                rhs[row] += values[k]
+            y = solve(rhs)
+            states[j] = y
         recorded[start:stop, :-1] = states[:, watched]
         bounded = np.abs(states).max(axis=1) <= BLOWUP_BOUND
         if not bounded.all():

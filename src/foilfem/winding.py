@@ -52,7 +52,7 @@ from .assembly import (
     conductivities,
 )
 from .errors import EmptyWindingError, ValidationError
-from .linalg import RestrictedSpdSolver, canonical_csr, max_abs
+from .linalg import RestrictedSpdSolver, canonical_csr, max_abs, rank
 from .mesh import Mesh, RegionTag
 
 MU0 = 4.0e-7 * math.pi
@@ -349,11 +349,24 @@ def assemble_foil_system(
     spec: FoilWindingSpec,
     basis: VoltageBasis,
 ) -> AssembledFoilSystem:
-    """Assemble stiffness, mass, coupling blocks and both conductances."""
+    """Assemble stiffness, mass, coupling blocks and both conductances.
+
+    Raises :class:`ValidationError` (``key="n_basis"``) when the mesh resolves fewer voltage
+    basis functions than ``n_basis``: a rank-deficient ``X`` makes ``G_e = X^T M^+ X``
+    singular, and every transient and classification with it fails.
+    """
     k = assemble_stiffness(mesh, materials, disc)
     m = assemble_mass(mesh, materials, disc)
     x = distribution_coefficients(mesh, disc)
     big_x = assemble_X(mesh, materials, disc, spec, basis, x)
+    resolved = rank(big_x, 1e-10)  # the tolerance of the classify report's rank(X)
+    if resolved < basis.n_functions:
+        raise ValidationError(
+            f"n_basis = {basis.n_functions} exceeds rank(X) = {resolved} on a mesh of "
+            f"{mesh.n_nodes} nodes ({disc.n_dofs} DoFs); use a finer mesh (mesh_level) or a "
+            "smaller n_basis",
+            key="n_basis",
+        )
     c = assemble_c(spec.n_turns, basis)
     g = assemble_G_original(mesh, materials, disc, spec, basis, x)
     support = conductive_support(mesh, materials, disc)

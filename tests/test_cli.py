@@ -170,6 +170,22 @@ class TestProgramErrors:
         assert message in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [["simulate", "--drive", "i"], ["classify"]])
+    def test_n_basis_beyond_what_the_mesh_resolves_is_one_line(self, argv, tmp_path, capsys):
+        # level 0 resolves 6 voltage basis functions; without the check the run ended on a
+        # singular iteration matrix and the report on a singular consistent conductance
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("mesh_level = 0\nn_basis = 7\n")
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "foilfem: error: n_basis = 7 exceeds rank(X) = 6 on a mesh of 126 nodes (84 DoFs); "
+            "use a finer mesh (mesh_level) or a smaller n_basis\n"
+        )
+        assert not out.exists()
+
     def test_zero_frequency_is_rejected_with_its_line(self, tmp_path, capsys):
         # the inductor demo would otherwise divide by w = 0 and print nan
         cfg_path = tmp_path / "run.cfg"

@@ -30,7 +30,7 @@ from foilfem.errors import (
     ValidationError,
 )
 from foilfem.experiments import ExperimentConfig, build_mesh, build_system, source_line
-from foilfem.linalg import sparse_factorize
+from foilfem.linalg import Factorization, sparse_factorize
 from foilfem.timestepper import (
     BLAS_ROWS,
     BLOCK_STEPS,
@@ -331,8 +331,25 @@ def dgemm_widths(monkeypatch):
     return widths
 
 
+@pytest.fixture
+def vector_solves(monkeypatch):
+    """The length of each one-vector ``Factorization.solve`` call, one per step of the solve
+    kernel; the block solves that form the propagator are not recorded."""
+    calls = []
+    solve = Factorization.solve
+
+    def counted(self, b):
+        if np.ndim(b) == 1:
+            calls.append(len(b))
+        return solve(self, b)
+
+    monkeypatch.setattr(Factorization, "solve", counted)
+    return calls
+
+
 class TestBoundCertificate:
-    """A chunk whose inputs certify every state bounded computes only the probed entries."""
+    """A chunk whose inputs certify every state bounded computes only the probed entries;
+    any other chunk steps with the per-step solve."""
 
     # BLOWUP_BOUND / 10.5 rounds so that 10.5 times it is one unit in the last place beyond
     # the bound; the spike itself is the certificate's bound without its factor 0.5, and it
@@ -349,7 +366,7 @@ class TestBoundCertificate:
         assert_close_series(series, expected)
 
     def test_bounded_states_beyond_the_certificate_keep_the_later_chunks_certified(
-        self, dgemm_widths
+        self, dgemm_widths, vector_solves
     ):
         # y1 = 0.945 BLOWUP_BOUND at steps 3 and 600, in the first and third chunks of five
         dae = scaled_spike_system(10.5, {3: 0.09 * BLOWUP_BOUND, 600: -0.09 * BLOWUP_BOUND})
@@ -359,14 +376,16 @@ class TestBoundCertificate:
         assert expected.diverged_at is None
         assert_close_series(series, expected)
         assert series.currents["y1"][[3, 600]].tolist() == [0.945e12, -0.945e12]
-        # the chunk products come last: the full table for a chunk with a spike, else the
-        # probed entries
-        assert dgemm_widths[-5:] == [14, 7, 14, 7, 7]
+        # the two chunks with a spike step with the solve, 256 steps each; the B - 1 powers
+        # come first (one 3-row panel each), then one product of the probed entries for each
+        # of the three certified chunks, and none of a block's whole inner states (14 columns)
+        assert len(vector_solves) == 2 * BLAS_ROWS * BLOCK_STEPS
+        assert dgemm_widths[BLOCK_STEPS - 1 :] == [7, 7, 7]
 
-    def test_an_overflowed_source_column_diverges_at_the_first_step(self):
+    def test_an_overflowed_source_column_steps_with_the_solve(self):
         # y = s / 1e-310: the source column overflows to inf, so the all-zero inputs give a
-        # NaN block end (0 * inf), which fails the certificate, and NaN states, which the
-        # full table finds at step 1
+        # NaN block end (0 * inf), which fails the certificate; the solve then gives the
+        # exact y = 0 / 1e-310 = 0 at every step
         probe = Probe(kind="L", pos_index=-1, neg_index=-1, current_index=0, value=1.0)
         dae = DAESystem(
             E=sp.csr_matrix((1, 1)),
@@ -375,9 +394,11 @@ class TestBoundCertificate:
             layout={},
             probes={"y": probe},
         )
-        series = integrate(dae, StepperConfig(t0=0.0, t_end=20.0, dt=1.0))
-        assert series.diverged_at == 1
-        assert len(series.times) == 2 and math.isnan(series.currents["y"][1])
+        cfg = StepperConfig(t0=0.0, t_end=20.0, dt=1.0)
+        series = integrate(dae, cfg)
+        expected, _ = loop_integrate(dae, cfg, per_step_solve=True)
+        assert series.diverged_at is None
+        assert_same_series(series, expected)
 
 
 @cache
@@ -450,9 +471,14 @@ class TestLoopOracle:
         dae = make_dae()
         cfg = StepperConfig(t0=0.0, t_end=22.0e-3, dt=dt)
         series = integrate(dae, cfg, probe_names)
-        expected, _ = loop_integrate(dae, cfg, probe_names)
         assert list(series.currents) == (list(dae.probes) if probe_names is None else probe_names)
-        assert_close_series(series, expected)
+        if case.endswith("diverges"):
+            # its one chunk fails the bound certificate and steps with the per-step solve
+            expected, _ = loop_integrate(dae, cfg, probe_names, per_step_solve=True)
+            assert_same_series(series, expected)
+        else:
+            expected, _ = loop_integrate(dae, cfg, probe_names)
+            assert_close_series(series, expected)
         assert series.diverged_at == (69 if case.endswith("diverges") else None)
 
     def test_source_is_evaluated_at_most_once_per_run(self, monkeypatch):
@@ -488,8 +514,10 @@ def spectral_radius(dae, dt):
 
 # run in a child process, so that the BLAS thread count is read afresh: a level-1 current-driven
 # Ge run at dt = 1e-5 (238 unknowns), a level-0 voltage-driven G run (91 unknowns) and the coarse
-# hat run with the exact G that diverges at step 69, all stepped with the block propagator (BLAS
-# dgemm and dgemv); each prints its divergence step and a SHA-256 of its traces
+# hat run with the exact G that diverges at step 69; the two bounded runs step with the block
+# propagator (BLAS dgemm and dgemv) and the diverging one carries its block ends with dgemv, then
+# steps its one chunk with the per-step solve; each prints its divergence step and a SHA-256 of
+# its traces
 THREADED_RUN = """
 import hashlib
 from dataclasses import replace
@@ -561,8 +589,9 @@ class TestPropagator:
         assert series.diverged_at == diverged_at
         assert (radius > 1.0) == (series.diverged_at is not None)
 
-    # a bounded run certifies every chunk and never forms the full table of inner states,
-    # (BLOCK_STEPS - 1) n columns; the diverging run forms it for the chunk that diverges
+    # no run forms a product of a block's whole inner states, (BLOCK_STEPS - 1) n columns; a
+    # bounded run certifies every chunk and makes no per-step solve, and the diverging run
+    # steps its one chunk, the whole 220-step run, with the per-step solve
     @pytest.mark.parametrize(
         "drive, mode, basis_family, dt, diverged_at",
         [
@@ -573,13 +602,13 @@ class TestPropagator:
         ids=["i-Ge", "v-G", "hat-exactG-diverges"],
     )
     def test_only_an_uncertified_chunk_forms_the_full_table(
-        self, drive, mode, basis_family, dt, diverged_at, dgemm_widths
+        self, drive, mode, basis_family, dt, diverged_at, dgemm_widths, vector_solves
     ):
         dae = foil_dae(drive, mode, basis_family, exact_g=diverged_at is not None)
         series = integrate(dae, StepperConfig(t0=0.0, t_end=22.0e-3, dt=dt))
         assert series.diverged_at == diverged_at
-        full_tables = dgemm_widths.count((BLOCK_STEPS - 1) * dae.E.shape[0])
-        assert full_tables == (0 if diverged_at is None else 1)
+        assert (BLOCK_STEPS - 1) * dae.E.shape[0] not in dgemm_widths
+        assert len(vector_solves) == (0 if diverged_at is None else 220)
 
     def test_trace_bytes_do_not_depend_on_the_blas_thread_count(self):
         source_root = str(Path(foilfem.__file__).resolve().parents[1])

@@ -186,6 +186,22 @@ class TestCouplingBlocks:
     def test_X_full_column_rank(self, coarse_system):
         assert rank(coarse_system.X, 1e-10) == 5
 
+    @pytest.mark.parametrize("family", ["legendre", "hat"])
+    def test_n_basis_beyond_what_the_mesh_resolves_is_named(self, coarse_setup, family):
+        # the coarse mesh resolves 6 basis functions of either family: 6 build, 7 do not
+        mesh, disc, mats = coarse_setup
+        system = assemble_foil_system(
+            mesh, disc=disc, materials=mats, spec=SPEC, basis=VoltageBasis(6, family=family)
+        )
+        assert rank(system.X, 1e-10) == 6
+        with pytest.raises(ValidationError) as err:
+            assemble_foil_system(
+                mesh, disc=disc, materials=mats, spec=SPEC, basis=VoltageBasis(7, family=family)
+            )
+        assert err.value.key == "n_basis"
+        named = f"n_basis = 7 exceeds rank(X) = 6 on a mesh of {mesh.n_nodes} nodes"
+        assert str(err.value).startswith(f"{named} ({disc.n_dofs} DoFs)")
+
     def test_G_matches_direct_quadrature(self):
         mesh, disc, mats = toy_setup(h=0.5)
         basis = VoltageBasis(3)
