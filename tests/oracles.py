@@ -7,7 +7,8 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dgemv
+from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg.lapack import dlange
 
 from foilfem.assembly import QUADRATURE_RULES, TWO_PI
 from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
@@ -296,7 +297,7 @@ def loop_refine_uniform(mesh):
 # optional initial state and optional full-state snapshots every ``snapshot_stride``
 # steps.  Up to ``PROPAGATOR_MAX_ROWS`` unknowns it steps with the amplification matrix and
 # source columns of ``propagator`` and one ``dgemv`` per step, the forcing summed per step into
-# a fresh vector; ``integrate``, which chains ``BLOCK_STEPS`` such steps into one product, must
+# a fresh vector; ``integrate``, which chains ``BLOCK_STEPS`` such steps into blocks, must
 # reproduce its times and divergence step exactly and its traces to round-off.  The oracle tests
 # every whole state; ``integrate`` skips that for a chunk whose inputs certify it bounded.
 # ``per_step_solve`` makes it solve ``E/dt + A`` at every step instead, at any size; above
@@ -389,6 +390,38 @@ def loop_integrate(
         diverged_at=diverged_at,
     )
     return series, (np.asarray(snapshots) if snapshots else None)
+
+
+# --- the whole block propagator ------------------------------------------------------------
+#
+# The block propagator as ``integrate`` formed it before it formed only what its steps read:
+# every power T^j of a block of ``steps`` steps, and the one-norm of the map from a block's
+# input row to its inner states.  ``timestepper.block_propagator`` must reproduce ``final`` and
+# the probed columns of ``inner`` to round-off, and its gain must be at least that one-norm.
+
+
+def whole_block_propagator(amplification, columns, steps):
+    """``(inner, final)``: ``u @ inner = [y_1, ..., y_(steps-1)]`` and ``final @ u = y_steps``
+    for a block's input row ``u = [y_0, s_1, ..., s_steps]``, each ``s_m`` ordered as the
+    columns of ``W = columns``; ``y_j = T^j y_0 + sum_{m <= j} T^(j-m) W s_m``."""
+    n, r = columns.shape
+    inner = np.zeros((n + steps * r, (steps - 1) * n), order="F")
+    last = np.zeros((n + steps * r, n))
+    # gains[j - 1] maps u to y_j: (T^j)^T = (T^(j-1))^T T^T, and (T^(j-1) W)^T likewise
+    gains = [inner[:, j * n : (j + 1) * n] for j in range(steps - 1)] + [last]
+    gains[0][:n] = amplification.T
+    gains[0][n : n + r] = columns.T
+    for j, (previous, gain) in enumerate(zip(gains, gains[1:]), start=1):
+        gain[: n + r] = dgemm(1.0, previous[: n + r], amplification, trans_b=True)
+        # s_m acts on y_(j+1) as s_(m-1) acts on y_j
+        gain[n + r : n + (j + 1) * r] = previous[n : n + j * r]
+    return inner, last.T
+
+
+def exact_gain(inner):
+    """The certificate's gain from the whole map: its one-norm, the largest column abs-sum, at
+    least 1 (NaN if ``inner`` holds a NaN)."""
+    return np.maximum(dlange("1", inner), 1.0)
 
 
 # --- loop form of the MNA stamp ----------------------------------------------------------

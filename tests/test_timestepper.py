@@ -37,13 +37,14 @@ from foilfem.timestepper import (
     BLOWUP_BOUND,
     PROPAGATOR_MAX_ROWS,
     StepperConfig,
+    block_propagator,
     consistent_zero_start,
     integrate,
     propagator,
 )
 from foilfem.winding import assemble_G_exact
 
-from oracles import loop_integrate
+from oracles import exact_gain, loop_integrate, whole_block_propagator
 
 
 def scalar_system(rate):
@@ -257,20 +258,20 @@ def assert_close_series(series, expected):
 
 class TestDivergenceAtBlockEdges:
     # dy/dt = rate y + 1 at dt = 1 grows by 1/(1 - rate) per step; each rate puts the first
-    # step beyond BLOWUP_BOUND at the named place among the blocks of BLOCK_STEPS = 8 states
-    # and the chunks of BLAS_ROWS = 32 blocks (256 states)
+    # step beyond BLOWUP_BOUND at the named place among the blocks of BLOCK_STEPS = 16 states
+    # and the chunks of BLAS_ROWS = 32 blocks (512 states)
     @pytest.mark.parametrize(
         "rate, n_steps, diverged_at",
         [
             (0.99999999999999, 100, 1),
-            (0.9748, 200, 8),
-            (0.9611, 200, 9),
-            (0.09416, 300, 256),
-            (0.0938, 300, 257),
-            (0.08069, 300, 299),
+            (0.8298, 200, 16),
+            (0.8102, 200, 17),
+            (0.0469, 600, 512),
+            (0.04681, 600, 513),
+            (0.04004, 600, 598),
             (0.999627, 5, 4),
             (0.6, 40, 30),
-            (-1.0, 515, None),
+            (-1.0, 1027, None),
         ],
         ids=["first-step", "last-of-first-block", "first-of-second-block",
              "last-of-first-chunk", "first-of-second-chunk", "inside-final-partial-block",
@@ -278,7 +279,7 @@ class TestDivergenceAtBlockEdges:
              "bounded-two-full-chunks-and-a-partial-block"],
     )
     def test_cut_matches_the_loop(self, rate, n_steps, diverged_at):
-        assert (BLOCK_STEPS, BLAS_ROWS) == (8, 32)  # the cases sit at these edges
+        assert (BLOCK_STEPS, BLAS_ROWS) == (16, 32)  # the cases sit at these edges
         dae = scalar_system(rate)
         cfg = StepperConfig(t0=0.0, t_end=float(n_steps), dt=1.0)
         series = integrate(dae, cfg)
@@ -300,9 +301,9 @@ def scaled_spike_system(gain, spikes):
     """``y0 = s(t)`` and ``y1 = gain y0`` as an algebraic DAE (E = 0), a probe reading y1.
 
     ``s`` is 0 except at the times that ``spikes`` maps to a value.  The block propagator
-    maps a step's source value to its y1 by ``gain``, the largest column abs-sum of its
-    table; the probe leaves y0 unwatched, so the product for the probed entries has 7
-    columns and the full table of a block's inner states 14.
+    maps a step's source value to its y1 by ``gain``, which is also its gain bound; the
+    probe leaves y0 unwatched, so the product for the probed entries has 15 columns and the
+    full table of a block's inner states would have 30.
     """
 
     def waveform(t):
@@ -354,12 +355,12 @@ class TestBoundCertificate:
     # BLOWUP_BOUND / 10.5 rounds so that 10.5 times it is one unit in the last place beyond
     # the bound; the spike itself is the certificate's bound without its factor 0.5, and it
     # is below BLOWUP_BOUND / 2, the bound with a gain of 1
-    @pytest.mark.parametrize("step", [3, 259], ids=["inside-first-block", "inside-second-chunk"])
+    @pytest.mark.parametrize("step", [3, 515], ids=["inside-first-block", "inside-second-chunk"])
     def test_spike_between_zero_block_ends_is_found(self, step):
         spike = BLOWUP_BOUND / 10.5
         assert 10.5 * spike > BLOWUP_BOUND
         dae = scaled_spike_system(10.5, {step: spike})
-        cfg = StepperConfig(t0=0.0, t_end=300.0, dt=1.0)
+        cfg = StepperConfig(t0=0.0, t_end=600.0, dt=1.0)
         series = integrate(dae, cfg)
         expected, _ = loop_integrate(dae, cfg)
         assert expected.diverged_at == step
@@ -368,7 +369,7 @@ class TestBoundCertificate:
     def test_bounded_states_beyond_the_certificate_keep_the_later_chunks_certified(
         self, dgemm_widths, vector_solves
     ):
-        # y1 = 0.945 BLOWUP_BOUND at steps 3 and 600, in the first and third chunks of five
+        # y1 = 0.945 BLOWUP_BOUND at steps 3 and 600, in the first and second chunks of three
         dae = scaled_spike_system(10.5, {3: 0.09 * BLOWUP_BOUND, 600: -0.09 * BLOWUP_BOUND})
         cfg = StepperConfig(t0=0.0, t_end=1100.0, dt=1.0)
         series = integrate(dae, cfg)
@@ -376,11 +377,26 @@ class TestBoundCertificate:
         assert expected.diverged_at is None
         assert_close_series(series, expected)
         assert series.currents["y1"][[3, 600]].tolist() == [0.945e12, -0.945e12]
-        # the two chunks with a spike step with the solve, 256 steps each; the B - 1 powers
-        # come first (one 3-row panel each), then one product of the probed entries for each
-        # of the three certified chunks, and none of a block's whole inner states (14 columns)
+        # the two chunks with a spike step with the solve, 512 steps each; the propagator's
+        # four products with each of its four squares come first (one panel each, 2 columns),
+        # then one product of the probed entries for the certified third chunk, and none of a
+        # block's whole inner states (30 columns)
         assert len(vector_solves) == 2 * BLAS_ROWS * BLOCK_STEPS
-        assert dgemm_widths[BLOCK_STEPS - 1 :] == [7, 7, 7]
+        assert dgemm_widths == [2] * 16 + [15]
+
+    @pytest.mark.parametrize("step", [600, 850], ids=["in-the-stale-row", "in-the-second-chunk"])
+    def test_a_final_partial_chunk_is_certified_from_its_own_inputs(self, step, vector_solves):
+        # 1,100 steps go in chunks of 512, 512 and 76 steps; the third has 5 blocks, so its
+        # input row 5 takes only its end state, and that row's source values are still those
+        # of the second chunk's block 5, steps 593-608.  Only the second chunk steps with the
+        # solve, whichever of its steps the spike is at.
+        dae = scaled_spike_system(10.5, {step: 0.09 * BLOWUP_BOUND})
+        cfg = StepperConfig(t0=0.0, t_end=1100.0, dt=1.0)
+        series = integrate(dae, cfg)
+        expected, _ = loop_integrate(dae, cfg)
+        assert series.diverged_at is None
+        assert_close_series(series, expected)
+        assert len(vector_solves) == BLAS_ROWS * BLOCK_STEPS
 
     def test_an_overflowed_source_column_steps_with_the_solve(self):
         # y = s / 1e-310: the source column overflows to inf, so the all-zero inputs give a
@@ -505,11 +521,58 @@ def relative_deviation(x, ref):
     return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
 
 
+def foil_propagator(dae, dt):
+    """``T`` and ``W`` of a run at ``dt``, as ``integrate`` forms them."""
+    e_over_dt = dae.E.multiply(1.0 / dt).tocsr()
+    return propagator(sparse_factorize(e_over_dt + dae.A), e_over_dt, list(dae.row_sources([0.0])))
+
+
 def spectral_radius(dae, dt):
     """Largest |mu| of implicit Euler's amplification matrix, by dense ``eigvals``."""
-    e_over_dt = dae.E.multiply(1.0 / dt).tocsr()
-    amplification, _ = propagator(sparse_factorize(e_over_dt + dae.A), e_over_dt, [])
+    amplification, _ = foil_propagator(dae, dt)
     return float(np.max(np.abs(sla.eigvals(amplification))))
+
+
+class TestBlockPropagator:
+    """The formation by repeated squaring against the whole block propagator of the oracle."""
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-5, 1e-6])
+    @pytest.mark.parametrize("mode", ["G", "Ge"])
+    @pytest.mark.parametrize("drive", ["i", "v"])
+    @pytest.mark.parametrize("basis_family", ["hat", "legendre"])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_gain_bounds_the_one_norm(self, level, basis_family, drive, mode, dt):
+        dae = foil_dae(drive, mode, basis_family, level=level)
+        amplification, columns = foil_propagator(dae, dt)
+        n = amplification.shape[0]
+        watched = np.array([0, n // 2, n - 1])
+        final, probed, gain = block_propagator(amplification, columns, watched)
+        inner, exact_final = whole_block_propagator(amplification, columns, BLOCK_STEPS)
+        exact = exact_gain(inner)
+        # a bound, and not a loose one: at most 7.6 times the one-norm in these cases
+        assert exact * (1.0 - 1e-12) <= gain <= 10.0 * exact
+        if drive == "i":
+            # the index-2 runs, the paper's instability case: the bound is the one-norm itself,
+            # so their certified input bounds are the ones the whole map gave
+            assert gain == pytest.approx(exact, rel=1e-12)
+        # the same maps as the whole block propagator's, to round-off
+        columns_read = (n * np.arange(BLOCK_STEPS - 1)[:, None] + watched).ravel()
+        for formed, whole in ((final, exact_final), (probed, inner[:, columns_read])):
+            assert formed.flags.f_contiguous and formed.shape == whole.shape
+            assert np.max(np.abs(formed - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("where", ["T", "W"])
+    def test_a_nan_certifies_nothing(self, where):
+        amplification, columns = foil_propagator(foil_dae("i", "Ge"), 1e-5)
+        (amplification if where == "T" else columns)[5, 0] = math.nan
+        _, _, gain = block_propagator(amplification, columns, np.array([0]))
+        assert math.isnan(gain)
+        assert not 0.0 <= 0.5 * BLOWUP_BOUND / gain  # not even all-zero inputs pass
+
+    def test_gain_is_at_least_one(self):
+        # T = 0.5 and W = 0.25: every state's map sums to less than 1
+        _, _, gain = block_propagator(np.array([[0.5]], order="F"), np.array([[0.25]]), [0])
+        assert gain == 1.0
 
 
 # run in a child process, so that the BLAS thread count is read afresh: a level-1 current-driven
