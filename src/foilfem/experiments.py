@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -251,6 +252,40 @@ def run_transient(cfg: ExperimentConfig, system, drive: str, mode: str, dt: floa
     return integrate(dae, time_grid(cfg, dt), probe_names=["FW1"])
 
 
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def run_transients(cfg: ExperimentConfig, system, runs: dict) -> dict:
+    """:func:`run_transient` of ``system`` for each ``key: (drive, mode, dt)`` of ``runs``.
+
+    The runs go to a pool of up to one worker process per available CPU, forked where
+    the platform can fork, the runs with the most steps first; the series come back in
+    the key order of ``runs``.  A worker runs the same code on pickled copies of the
+    inputs, so every series is bit for bit the one an in-process run gives.  An error
+    raised in a worker is raised here, and no worker outlives the call.
+    """
+    # imported here: the commands that start no pool do not load the process machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    pool = ProcessPoolExecutor(
+        max_workers=min(len(runs), available_cpus()),
+        mp_context=multiprocessing.get_context(start),
+    )
+    try:
+        by_steps = sorted(runs, key=lambda key: -time_grid(cfg, runs[key][2]).n_steps)
+        futures = {key: pool.submit(run_transient, cfg, system, *runs[key]) for key in by_steps}
+        return {key: futures[key].result() for key in runs}
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @dataclass(frozen=True)
 class NoiseMetric:
     """Fundamental amplitude and residual noise of one trace.
@@ -333,18 +368,21 @@ def run_fig4(cfg: ExperimentConfig, out_dir) -> dict:
 
     Uses the consistent conductance on the fine mesh.  The current-driven
     voltage noise grows when the step size shrinks; the voltage-driven
-    current noise does not.  Writes the CSV, SVG and metrics files to
-    ``out_dir`` and returns the metrics text as ``results["report"]``.
+    current noise does not.  The four transients run in worker processes
+    (:func:`run_transients`), which leaves every output byte as a serial
+    run writes it; the metrics, the report and the files are made here.
+    Writes the CSV, SVG and metrics files to ``out_dir`` and returns the
+    metrics text as ``results["report"]``.
     """
     for dt in FIG4_DTS:
         noise_fit_grid(cfg, dt)
     system = build_system(cfg, build_mesh(cfg, FINE_LEVEL))[0]
-    series, metrics = {}, {}
-    for drive in ("i", "v"):
-        for dt in FIG4_DTS:
-            key = f"{drive}fed_dt{dt:.0e}"
-            s = series[key] = run_transient(cfg, system, drive, "Ge", dt)
-            metrics[key] = noise_metric(s.times, response(s, drive)[0], cfg.frequency)
+    runs = {f"{d}fed_dt{dt:.0e}": (d, "Ge", dt) for d in ("i", "v") for dt in FIG4_DTS}
+    series = run_transients(cfg, system, runs)
+    metrics = {
+        key: noise_metric(series[key].times, response(series[key], drive)[0], cfg.frequency)
+        for key, (drive, _, _) in runs.items()
+    }
     metrics["vnoise_ratio_small_over_large_dt"] = (
         metrics["ifed_dt1e-05"].noise_rms / metrics["ifed_dt1e-04"].noise_rms
     )

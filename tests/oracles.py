@@ -14,6 +14,18 @@ from foilfem.assembly import QUADRATURE_RULES, TWO_PI
 from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
 from foilfem.dae_analysis import KERNEL_TOL
 from foilfem.errors import SingularMatrixError, SingularSystemAtStepError
+from foilfem.experiments import (
+    FIG4_DTS,
+    FINE_LEVEL,
+    build_mesh,
+    build_system,
+    emit_study,
+    format_fig4_metrics,
+    noise_fit_grid,
+    noise_metric,
+    response,
+    run_transient,
+)
 from foilfem.linalg import RestrictedSpdSolver, canonical_csr, sparse_factorize
 from foilfem.mesh import GeometrySpec, Mesh, RegionTag, validate_mesh
 from foilfem.timestepper import (
@@ -682,3 +694,32 @@ def projector_inductance(sf, K) -> float:
     pair = build_projectors(sf.M_bar)
     qx = pair.Q @ sf.x_bar
     return float(qx @ np.linalg.solve(pair.Q @ K.toarray() @ pair.Q + pair.P @ pair.P, qx))
+
+
+# --- serial fig4 -----------------------------------------------------------------------------
+#
+# fig4 as it ran before its transients went to worker processes: one in-process run after the
+# other.  ``run_fig4`` must return the same series in the same key order and write the same bytes.
+
+def loop_fig4(cfg, out_dir) -> dict:
+    """``run_fig4`` with its four transients run in this process, one after the other."""
+    for dt in FIG4_DTS:
+        noise_fit_grid(cfg, dt)
+    system = build_system(cfg, build_mesh(cfg, FINE_LEVEL))[0]
+    series, metrics = {}, {}
+    for drive in ("i", "v"):
+        for dt in FIG4_DTS:
+            key = f"{drive}fed_dt{dt:.0e}"
+            s = series[key] = run_transient(cfg, system, drive, "Ge", dt)
+            metrics[key] = noise_metric(s.times, response(s, drive)[0], cfg.frequency)
+    metrics["vnoise_ratio_small_over_large_dt"] = (
+        metrics["ifed_dt1e-05"].noise_rms / metrics["ifed_dt1e-04"].noise_rms
+    )
+    results = {"series": series, "metrics": metrics}
+    results["report"] = format_fig4_metrics(results)
+    plots = {
+        name: (drive, [(f"dt={dt:.0e} s", series[f"{drive}fed_dt{dt:.0e}"]) for dt in FIG4_DTS[::-1]])
+        for name, drive in (("current_driven", "i"), ("voltage_driven", "v"))
+    }
+    emit_study(out_dir, "fig4", series, plots, results["report"])
+    return results

@@ -1,14 +1,20 @@
 """Experiment configuration, metrics and output-emission tests."""
 
+import concurrent.futures
+import hashlib
 import math
+import multiprocessing
+import pickle
 import re
 
 import numpy as np
 import pytest
 
-from foilfem.errors import ParseError, ValidationError
+from foilfem import cli, experiments
+from foilfem.errors import ParseError, SingularSystemAtStepError, ValidationError
 from foilfem.experiments import (
     ExperimentConfig,
+    available_cpus,
     build_geometry,
     build_mesh,
     build_system,
@@ -21,10 +27,13 @@ from foilfem.experiments import (
     read_csv_series,
     response,
     run_classify,
+    run_fig4,
     run_fig5,
     run_transient,
+    run_transients,
 )
 from foilfem.timestepper import TimeSeries
+from oracles import loop_fig4
 
 # the y-axis tick labels of an emitted SVG
 Y_TICK = re.compile(r'text-anchor="end">([^<]+)<')
@@ -103,6 +112,22 @@ class TestConfig:
             with pytest.raises(ValidationError) as exc:
                 mesh_edge_length(level)
             assert exc.value.key == "mesh_level"
+
+
+class TestErrorPickling:
+    """Errors cross from fig4's worker processes to the command line by pickle."""
+
+    def test_validation_error_keeps_message_key_and_line(self):
+        err = pickle.loads(pickle.dumps(ValidationError("dt must be positive", key="dt", line=3)))
+        assert type(err) is ValidationError
+        assert str(err) == "dt must be positive (line 3)"
+        assert (err.message, err.key, err.line) == ("dt must be positive", "dt", 3)
+
+    def test_parse_error_keeps_message_line_and_column(self):
+        err = pickle.loads(pickle.dumps(ParseError("bad value", line=4, column=7)))
+        assert type(err) is ParseError
+        assert str(err) == "bad value (line 4, column 7)"
+        assert (err.line, err.column) == (4, 7)
 
 
 class TestNoiseMetric:
@@ -283,3 +308,65 @@ class TestRunners:
             if "rms / bound" in line
         ]
         assert ratio and 1.0 / 3.0 <= ratio[0] <= 3.0
+
+
+def _digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
+
+
+class TestWorkerRuns:
+    # a short run keeps the level-2 study quick; both step sizes still fit the noise fit
+    CFG = ExperimentConfig(duration=5.0e-3)
+
+    def test_longest_runs_go_first_and_come_back_in_key_order(self, monkeypatch):
+        calls = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context):
+                calls.append(max_workers)
+
+            def submit(self, fn, *args):
+                calls.append(args[-1])
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures):
+                calls.append("shutdown")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = ExperimentConfig(duration=1.0e-3)
+        system = build_system(cfg, build_mesh(cfg, 0))[0]
+        runs = {"a": ("v", "Ge", 1.0e-4), "b": ("i", "Ge", 1.0e-5), "c": ("v", "G", 1.0e-4)}
+        series = run_transients(cfg, system, runs)
+        assert calls == [min(3, available_cpus()), 1.0e-5, 1.0e-4, 1.0e-4, "shutdown"]
+        assert list(series) == ["a", "b", "c"]
+        assert [len(s.times) for s in series.values()] == [11, 101, 11]
+
+    def test_series_and_files_match_the_serial_loop(self, tmp_path):
+        results = run_fig4(self.CFG, tmp_path / "workers")
+        oracle = loop_fig4(self.CFG, tmp_path / "loop")
+        assert list(results["series"]) == list(oracle["series"])
+        for key, series in results["series"].items():
+            expected = oracle["series"][key]
+            assert series.diverged_at == expected.diverged_at
+            for got, want in ((series.times, expected.times),
+                              (series.currents["FW1"], expected.currents["FW1"]),
+                              (series.voltages["FW1"], expected.voltages["FW1"])):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert results["report"] == oracle["report"]
+        assert _digests(tmp_path / "workers") == _digests(tmp_path / "loop")
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_is_one_cli_error_line(self, tmp_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise SingularSystemAtStepError("iteration matrix is singular")
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(experiments, "integrate", singular)
+        status = cli.main(["fig4", "--duration", "5e-3", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == "foilfem: error: iteration matrix is singular\n"
+        assert multiprocessing.active_children() == []
