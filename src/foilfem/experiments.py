@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import signal
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -27,7 +28,7 @@ import numpy as np
 from .assembly import FieldDiscretization
 from .circuit import lumped_inductor_voltage_driven, mna_stamp, parse_netlist
 from .dae_analysis import classify_element, singular_perturbation_measure
-from .errors import ParseError, ValidationError
+from .errors import FoilFemError, ParseError, ValidationError
 from .linalg import rank
 from .mesh import GeometrySpec, Mesh, generate_parametric_mesh, refine_uniform
 from .timestepper import StepperConfig, TimeSeries, integrate
@@ -260,28 +261,42 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_transients(cfg: ExperimentConfig, system, runs: dict) -> dict:
-    """:func:`run_transient` of ``system`` for each ``key: (drive, mode, dt)`` of ``runs``.
+def run_transients(cfg: ExperimentConfig, runs: dict) -> dict:
+    """:func:`run_transient` for each ``key: (system, drive, mode, dt)`` of ``runs``.
 
     The runs go to a pool of up to one worker process per available CPU, forked where
     the platform can fork, the runs with the most steps first; the series come back in
     the key order of ``runs``.  A worker runs the same code on pickled copies of the
     inputs, so every series is bit for bit the one an in-process run gives.  An error
-    raised in a worker is raised here, and no worker outlives the call.
+    raised in a worker is raised here; a worker that ends abruptly raises
+    :class:`FoilFemError` naming the first run in key order that it stopped and, where
+    known, the worker's exit code.  No worker outlives the call.
     """
     # imported here: the commands that start no pool do not load the process machinery
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     pool = ProcessPoolExecutor(
         max_workers=min(len(runs), available_cpus()),
         mp_context=multiprocessing.get_context(start),
     )
+    series = {}
     try:
-        by_steps = sorted(runs, key=lambda key: -time_grid(cfg, runs[key][2]).n_steps)
-        futures = {key: pool.submit(run_transient, cfg, system, *runs[key]) for key in by_steps}
-        return {key: futures[key].result() for key in runs}
+        by_steps = sorted(runs, key=lambda key: -time_grid(cfg, runs[key][3]).n_steps)
+        futures = {key: pool.submit(run_transient, cfg, *runs[key]) for key in by_steps}
+        for key in runs:
+            series[key] = futures[key].result()
+        return series
+    except BrokenProcessPool:
+        broken = next(key for key in runs if key not in series)
+        workers = list(pool._processes.values())  # private: the pool's worker processes
+        pool.shutdown()  # joins the workers, so their exit codes are known
+        # the pool ends the workers that outlive the break with SIGTERM
+        ends = sorted({p.exitcode for p in workers} - {None, -signal.SIGTERM})
+        how = "".join(f", {'exit code' if c >= 0 else 'signal'} {abs(c)}" for c in ends)
+        raise FoilFemError(f"run {broken}: a worker process ended abruptly{how}") from None
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -377,11 +392,11 @@ def run_fig4(cfg: ExperimentConfig, out_dir) -> dict:
     for dt in FIG4_DTS:
         noise_fit_grid(cfg, dt)
     system = build_system(cfg, build_mesh(cfg, FINE_LEVEL))[0]
-    runs = {f"{d}fed_dt{dt:.0e}": (d, "Ge", dt) for d in ("i", "v") for dt in FIG4_DTS}
-    series = run_transients(cfg, system, runs)
+    runs = {f"{d}fed_dt{dt:.0e}": (system, d, "Ge", dt) for d in ("i", "v") for dt in FIG4_DTS}
+    series = run_transients(cfg, runs)
     metrics = {
         key: noise_metric(series[key].times, response(series[key], drive)[0], cfg.frequency)
-        for key, (drive, _, _) in runs.items()
+        for key, (_, drive, _, _) in runs.items()
     }
     metrics["vnoise_ratio_small_over_large_dt"] = (
         metrics["ifed_dt1e-05"].noise_rms / metrics["ifed_dt1e-04"].noise_rms
@@ -414,42 +429,41 @@ def format_fig4_metrics(results) -> str:
 def run_fig5(cfg: ExperimentConfig, out_dir) -> dict:
     """Conductance-variant comparison across mesh refinement, current-driven.
 
-    Four runs: both conductance variants on the coarse and fine mesh at
-    dt = 1e-4 s.  The original variant ("G") is the paper's exact, mesh-free
-    conductance (:func:`~foilfem.winding.assemble_G_exact`), so ``G - Ge`` may
-    be indefinite on a coarse mesh and that run may diverge; the consistent
-    variant is ``Ge``.  Reported per mesh: the relative RMS discrepancy between
-    the two voltage traces (``inf`` if either run diverged) and any divergence
-    markers.  Writes the CSV, SVG and metrics files to ``out_dir`` and returns
-    the metrics text as ``results["report"]``.
+    Four runs in worker processes (:func:`run_transients`): both conductance variants on
+    the coarse and fine mesh at dt = 1e-4 s.  The original variant ("G") is the paper's
+    exact, mesh-free conductance (:func:`~foilfem.winding.assemble_G_exact`), so
+    ``G - Ge`` may be indefinite on a coarse mesh and that run may diverge; the
+    consistent variant is ``Ge``.  Reported per mesh: the relative RMS discrepancy
+    between the two voltage traces (``inf`` if either run diverged) and any divergence
+    markers.  Writes the CSV, SVG and metrics files to ``out_dir`` and returns the
+    metrics text as ``results["report"]``.
     """
     time_grid(cfg, FIG5_DT)
-    results = {"series": {}, "discrepancy": {}, "diverged": {}}
+    runs = {}
     for mesh_name, level in (("coarse", COARSE_LEVEL), ("fine", FINE_LEVEL)):
-        mesh = build_mesh(cfg, level)
-        system, spec, basis = build_system(cfg, mesh)
+        system, spec, basis = build_system(cfg, build_mesh(cfg, level))
         system = replace(system, G=assemble_G_exact(spec, basis))
-        pair = {mode: run_transient(cfg, system, "i", mode, FIG5_DT) for mode in ("G", "Ge")}
-        for mode, series in pair.items():
-            results["series"][f"{mesh_name}_{mode}"] = series
-            results["diverged"][f"{mesh_name}_{mode}"] = series.diverged_at
-        if any(s.diverged_at is not None for s in pair.values()):
-            # a diverged trace grows until the blow-up bound stops it, so any
-            # finite RMS over it would measure that bound, not the models
-            results["discrepancy"][mesh_name] = math.inf
-            continue
-        v_g, v_ge = (response(pair[mode], "i")[0] for mode in ("G", "Ge"))
-        ref = float(np.sqrt(np.mean(v_ge**2)))
-        results["discrepancy"][mesh_name] = float(np.sqrt(np.mean((v_g - v_ge) ** 2))) / ref
+        runs |= {f"{mesh_name}_{mode}": (system, "i", mode, FIG5_DT) for mode in ("G", "Ge")}
+    series = run_transients(cfg, runs)
+    diverged = {key: s.diverged_at for key, s in series.items()}
+    results = {"series": series, "discrepancy": {}, "diverged": diverged}
+    for mesh_name in ("coarse", "fine"):
+        # a diverged trace grows until the blow-up bound stops it, so any
+        # finite RMS over it would measure that bound, not the models
+        results["discrepancy"][mesh_name] = math.inf
+        if all(diverged[f"{mesh_name}_{mode}"] is None for mode in ("G", "Ge")):
+            v_g, v_ge = (response(series[f"{mesh_name}_{mode}"], "i")[0] for mode in ("G", "Ge"))
+            ref = float(np.sqrt(np.mean(v_ge**2)))
+            results["discrepancy"][mesh_name] = float(np.sqrt(np.mean((v_g - v_ge) ** 2))) / ref
     lines = [f"{name}: rel RMS discrepancy = {v:.6e}" for name, v in results["discrepancy"].items()]
     lines += [f"diverged[{key}] = {step}" for key, step in results["diverged"].items()]
     results["report"] = "\n".join(lines) + "\n"
     plots = {
-        mesh_name: ("i", [(label, results["series"][f"{mesh_name}_{mode}"])
+        mesh_name: ("i", [(label, series[f"{mesh_name}_{mode}"])
                           for label, mode in (("original G", "G"), ("consistent Ge", "Ge"))])
         for mesh_name in ("coarse", "fine")
     }
-    emit_study(out_dir, "fig5", results["series"], plots, results["report"])
+    emit_study(out_dir, "fig5", series, plots, results["report"])
     return results
 
 
@@ -506,10 +520,8 @@ def demo_inductor(cfg: ExperimentConfig) -> str:
 
 def emit_csv(path, series: TimeSeries, probe: str) -> None:
     """Write one probe as ``t,i,v`` rows (full float precision, LF endings)."""
-    times, currents, voltages = series.probe(probe)
-    lines = ["t,i,v"]
-    for t, i, v in zip(times, currents, voltages):
-        lines.append(f"{float(t)!r},{float(i)!r},{float(v)!r}")
+    columns = (np.asarray(column, dtype=float).tolist() for column in series.probe(probe))
+    lines = ["t,i,v"] + [f"{t!r},{i!r},{v!r}" for t, i, v in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -591,7 +603,8 @@ def emit_svg_plot(path, curves, xlabel: str, ylabel: str) -> None:
         keep = np.isfinite(y)
         if diverged_at is not None:
             y = np.clip(y, y_min, y_max)
-        points = " ".join(f"{sx(tv):.3f},{sy(yv):.3f}" for tv, yv in zip(t[keep], y[keep]))
+        px, py = sx(t[keep]).tolist(), sy(y[keep]).tolist()
+        points = " ".join(f"{tv:.3f},{yv:.3f}" for tv, yv in zip(px, py))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         ly = margin + 18 * idx
         parts.append(

@@ -24,7 +24,6 @@ or to a block of them in one call.
 from __future__ import annotations
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -219,6 +218,8 @@ def rank(a, tol: float) -> int:
 
 def write_matrix_market(path, a) -> None:
     """Dump a sparse matrix, dense matrix or vector in Matrix Market format."""
+    import scipy.io  # imported here: only ``assemble --mtx`` writes Matrix Market files
+
     if sp.issparse(a):
         scipy.io.mmwrite(str(path), a.tocoo())
         return

@@ -1,6 +1,7 @@
 """Independent brute-force and loop-form oracles shared between test modules."""
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Mapping
 
@@ -15,7 +16,9 @@ from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
 from foilfem.dae_analysis import KERNEL_TOL
 from foilfem.errors import SingularMatrixError, SingularSystemAtStepError
 from foilfem.experiments import (
+    COARSE_LEVEL,
     FIG4_DTS,
+    FIG5_DT,
     FINE_LEVEL,
     build_mesh,
     build_system,
@@ -25,6 +28,7 @@ from foilfem.experiments import (
     noise_metric,
     response,
     run_transient,
+    time_grid,
 )
 from foilfem.linalg import RestrictedSpdSolver, canonical_csr, sparse_factorize
 from foilfem.mesh import GeometrySpec, Mesh, RegionTag, validate_mesh
@@ -38,6 +42,7 @@ from foilfem.timestepper import (
 from foilfem.winding import (
     AssembledFoilSystem,
     SolidSystem,
+    assemble_G_exact,
     distribution_coefficients,
     load_system,
     profile_for,
@@ -722,4 +727,33 @@ def loop_fig4(cfg, out_dir) -> dict:
         for name, drive in (("current_driven", "i"), ("voltage_driven", "v"))
     }
     emit_study(out_dir, "fig4", series, plots, results["report"])
+    return results
+
+
+def loop_fig5(cfg, out_dir) -> dict:
+    """``run_fig5`` with its four transients run in this process, mesh by mesh."""
+    time_grid(cfg, FIG5_DT)
+    results = {"series": {}, "discrepancy": {}, "diverged": {}}
+    for mesh_name, level in (("coarse", COARSE_LEVEL), ("fine", FINE_LEVEL)):
+        system, spec, basis = build_system(cfg, build_mesh(cfg, level))
+        system = replace(system, G=assemble_G_exact(spec, basis))
+        pair = {mode: run_transient(cfg, system, "i", mode, FIG5_DT) for mode in ("G", "Ge")}
+        for mode, series in pair.items():
+            results["series"][f"{mesh_name}_{mode}"] = series
+            results["diverged"][f"{mesh_name}_{mode}"] = series.diverged_at
+        if any(s.diverged_at is not None for s in pair.values()):
+            results["discrepancy"][mesh_name] = math.inf
+            continue
+        v_g, v_ge = (response(pair[mode], "i")[0] for mode in ("G", "Ge"))
+        ref = float(np.sqrt(np.mean(v_ge**2)))
+        results["discrepancy"][mesh_name] = float(np.sqrt(np.mean((v_g - v_ge) ** 2))) / ref
+    lines = [f"{name}: rel RMS discrepancy = {v:.6e}" for name, v in results["discrepancy"].items()]
+    lines += [f"diverged[{key}] = {step}" for key, step in results["diverged"].items()]
+    results["report"] = "\n".join(lines) + "\n"
+    plots = {
+        mesh_name: ("i", [(label, results["series"][f"{mesh_name}_{mode}"])
+                          for label, mode in (("original G", "G"), ("consistent Ge", "Ge"))])
+        for mesh_name in ("coarse", "fine")
+    }
+    emit_study(out_dir, "fig5", results["series"], plots, results["report"])
     return results

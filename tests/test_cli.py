@@ -1,8 +1,14 @@
 """CLI subcommand smoke tests (fast paths; studies run in the acceptance suite)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import foilfem
 from foilfem.cli import build_parser, main
 from foilfem.experiments import read_csv_series
 from foilfem.mesh import read_mesh
@@ -108,6 +114,15 @@ class TestAssembleCommand:
         assert system.n_basis == 5
         assert (tmp_path / "K.mtx").exists()
         assert (tmp_path / "Ge.mtx").exists()
+
+    def test_cli_import_leaves_out_the_matrix_market_writer(self):
+        # scipy.io is loaded by ``assemble --mtx`` alone
+        env = {**os.environ, "PYTHONPATH": str(Path(foilfem.__file__).resolve().parents[1])}
+        check = "import sys, foilfem.cli; print('scipy.io' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "False\n"
 
 
 class TestSimulateCommand:

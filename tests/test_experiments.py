@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import math
 import multiprocessing
+import os
 import pickle
 import re
 
@@ -33,7 +34,7 @@ from foilfem.experiments import (
     run_transients,
 )
 from foilfem.timestepper import TimeSeries
-from oracles import loop_fig4
+from oracles import loop_fig4, loop_fig5
 
 # the y-axis tick labels of an emitted SVG
 Y_TICK = re.compile(r'text-anchor="end">([^<]+)<')
@@ -115,7 +116,7 @@ class TestConfig:
 
 
 class TestErrorPickling:
-    """Errors cross from fig4's worker processes to the command line by pickle."""
+    """Errors cross from the studies' worker processes to the command line by pickle."""
 
     def test_validation_error_keeps_message_key_and_line(self):
         err = pickle.loads(pickle.dumps(ValidationError("dt must be positive", key="dt", line=3)))
@@ -196,6 +197,19 @@ class TestCsv:
         emit_csv(path, series, "FW1")
         assert path.read_text().count("\n") == 3
 
+    def test_rows_are_the_shortest_repr_of_each_float(self, tmp_path):
+        special = [-0.0, 5e-324, 1e16, 0.1, math.nan]
+        series = TimeSeries(
+            times=np.array([0.0, 1e-4, 2e-4, 3e-4, 4e-4]),
+            currents={"FW1": np.array(special)},
+            voltages={"FW1": np.array(special[::-1])},
+        )
+        emit_csv(tmp_path / "s.csv", series, "FW1")
+        assert (tmp_path / "s.csv").read_text() == (
+            "t,i,v\n0.0,-0.0,nan\n0.0001,5e-324,0.1\n0.0002,1e+16,1e+16\n"
+            "0.0003,0.1,5e-324\n0.0004,nan,-0.0\n"
+        )
+
 
 class TestSvg:
     def test_deterministic_and_labeled(self, tmp_path):
@@ -228,6 +242,17 @@ class TestSvg:
         for points in re.findall(r'<polyline points="([^"]*)"', text):
             ys = [float(p.split(",")[1]) for p in points.split()]
             assert 70.0 <= min(ys) and max(ys) <= 430.0  # inside the 500 px plot's 70 px margins
+
+    def test_polyline_points_over_special_floats(self, tmp_path):
+        t = np.array([-0.0, 5e-324, 0.1, 0.7, 1.0])
+        curves = [("a", t, np.array([-0.0, 5e-324, 1e16, 0.1, math.nan]), None),
+                  ("b", t, np.array([0.1, math.nan, -1e16, 5e-324, -0.0]), 2)]
+        emit_svg_plot(tmp_path / "s.svg", curves, xlabel="x", ylabel="y")
+        # the NaN points are left out and the diverged curve is clipped to the range
+        assert re.findall(r'<polyline points="([^"]*)"', (tmp_path / "s.svg").read_text()) == [
+            "70.000,413.636 70.000,413.636 136.000,86.364 532.000,413.636",
+            "70.000,413.636 136.000,430.000 532.000,413.636 730.000,413.636",
+        ]
 
 
 class TestRunners:
@@ -337,15 +362,15 @@ class TestWorkerRuns:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = ExperimentConfig(duration=1.0e-3)
         system = build_system(cfg, build_mesh(cfg, 0))[0]
-        runs = {"a": ("v", "Ge", 1.0e-4), "b": ("i", "Ge", 1.0e-5), "c": ("v", "G", 1.0e-4)}
-        series = run_transients(cfg, system, runs)
+        runs = {"a": (system, "v", "Ge", 1.0e-4), "b": (system, "i", "Ge", 1.0e-5),
+                "c": (system, "v", "G", 1.0e-4)}
+        series = run_transients(cfg, runs)
         assert calls == [min(3, available_cpus()), 1.0e-5, 1.0e-4, 1.0e-4, "shutdown"]
         assert list(series) == ["a", "b", "c"]
         assert [len(s.times) for s in series.values()] == [11, 101, 11]
 
-    def test_series_and_files_match_the_serial_loop(self, tmp_path):
-        results = run_fig4(self.CFG, tmp_path / "workers")
-        oracle = loop_fig4(self.CFG, tmp_path / "loop")
+    @staticmethod
+    def assert_same_study(results, oracle, workers, loop):
         assert list(results["series"]) == list(oracle["series"])
         for key, series in results["series"].items():
             expected = oracle["series"][key]
@@ -355,8 +380,24 @@ class TestWorkerRuns:
                               (series.voltages["FW1"], expected.voltages["FW1"])):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert results["report"] == oracle["report"]
-        assert _digests(tmp_path / "workers") == _digests(tmp_path / "loop")
+        assert _digests(workers) == _digests(loop)
         assert multiprocessing.active_children() == []
+
+    def test_series_and_files_match_the_serial_loop(self, tmp_path):
+        results = run_fig4(self.CFG, tmp_path / "workers")
+        oracle = loop_fig4(self.CFG, tmp_path / "loop")
+        self.assert_same_study(results, oracle, tmp_path / "workers", tmp_path / "loop")
+
+    @pytest.mark.parametrize("basis_family", ["hat", "legendre"])
+    def test_fig5_matches_the_serial_loop(self, tmp_path, basis_family):
+        # the default duration: the coarse hat run with the exact G diverges at step 69
+        cfg = ExperimentConfig(basis_family=basis_family)
+        results = run_fig5(cfg, tmp_path / "workers")
+        oracle = loop_fig5(cfg, tmp_path / "loop")
+        self.assert_same_study(results, oracle, tmp_path / "workers", tmp_path / "loop")
+        assert results["diverged"] == oracle["diverged"]
+        assert results["discrepancy"] == oracle["discrepancy"]
+        assert results["diverged"]["coarse_G"] == (69 if basis_family == "hat" else None)
 
     def test_worker_error_is_one_cli_error_line(self, tmp_path, monkeypatch, capsys):
         def singular(*args, **kwargs):
@@ -369,4 +410,21 @@ class TestWorkerRuns:
         assert status == 1
         assert captured.out == ""
         assert captured.err == "foilfem: error: iteration matrix is singular\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command, first_run", [("fig4", "ifed_dt1e-04"), ("fig5", "coarse_G")])
+    def test_dying_worker_is_one_cli_error_line(self, tmp_path, monkeypatch, capsys, command,
+                                                first_run):
+        def die(*args, **kwargs):
+            os._exit(9)
+
+        # forked workers inherit the patched module; the parent steps nothing
+        monkeypatch.setattr(experiments, "integrate", die)
+        status = cli.main([command, "--duration", "5e-3", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"foilfem: error: run {first_run}: a worker process ended abruptly, exit code 9\n"
+        )
         assert multiprocessing.active_children() == []
