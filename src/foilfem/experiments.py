@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import FieldDiscretization
-from .circuit import lumped_inductor_voltage_driven, mna_stamp, parse_netlist
+from .circuit import DAESystem, lumped_inductor_voltage_driven, mna_stamp, parse_netlist
 from .dae_analysis import classify_element, singular_perturbation_measure
 from .errors import FoilFemError, ParseError, ValidationError
 from .linalg import rank
@@ -189,7 +189,6 @@ def build_winding_spec(cfg: ExperimentConfig) -> FoilWindingSpec:
         foil_pitch=cfg.foil_pitch,
         height=cfg.winding_height,
         inner_radius=cfg.winding_inner_radius,
-        z_center=0.5 * cfg.yoke_height,
         sigma_c=cfg.winding_conductivity,
     )
 
@@ -214,9 +213,7 @@ def build_mesh(cfg: ExperimentConfig, level: int | None = None) -> Mesh:
 
 def build_system(cfg: ExperimentConfig, mesh: Mesh):
     spec = build_winding_spec(cfg)
-    materials = device_materials(
-        spec, yoke_sigma=cfg.yoke_conductivity, yoke_mu_r=cfg.yoke_permeability
-    )
+    materials = device_materials(spec, cfg.yoke_conductivity, cfg.yoke_permeability)
     disc = FieldDiscretization.from_mesh(mesh)
     basis = VoltageBasis(cfg.n_basis, family=cfg.basis_family)
     system = assemble_foil_system(mesh, materials=materials, disc=disc, spec=spec, basis=basis)
@@ -246,11 +243,16 @@ def noise_fit_grid(cfg: ExperimentConfig, dt: float) -> StepperConfig:
     return grid
 
 
-def run_transient(cfg: ExperimentConfig, system, drive: str, mode: str, dt: float) -> TimeSeries:
-    """One foil-winding run: compose the two-branch netlist, stamp, integrate."""
+def winding_dae(cfg: ExperimentConfig, system, drive: str, mode: str) -> DAESystem:
+    """The stamped two-branch netlist of a foil-winding run: the configured source of
+    ``drive`` across the winding ``FW1`` in ``mode``."""
     netlist = parse_netlist(f"{source_line(cfg, drive)}\nFW1 1 0 FILE <memory> MODE {mode}")
-    dae = mna_stamp(netlist, field_systems={"<memory>": system})
-    return integrate(dae, time_grid(cfg, dt), probe_names=["FW1"])
+    return mna_stamp(netlist, field_systems={"<memory>": system})
+
+
+def run_transient(cfg: ExperimentConfig, system, drive: str, mode: str, dt: float) -> TimeSeries:
+    """One foil-winding run: :func:`winding_dae` integrated on :func:`time_grid`."""
+    return integrate(winding_dae(cfg, system, drive, mode), time_grid(cfg, dt), probe_names=["FW1"])
 
 
 def available_cpus() -> int:

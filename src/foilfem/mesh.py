@@ -156,22 +156,21 @@ def validate_mesh(mesh: Mesh) -> None:
 class GeometrySpec:
     """Axis-aligned cross-section geometry of the gapped-core test device.
 
-    Defaults describe the shipped demonstration device; lengths in meters.
-    The winding rectangle is vertically centered in the window, its radial
-    thickness must equal turn count times foil pitch of the companion winding
-    specification.
+    Lengths in meters.  The winding rectangle is vertically centered in the
+    yoke, its radial thickness must equal turn count times foil pitch of the
+    companion winding specification.
     """
 
-    yoke_outer_radius: float = 40.0e-3
-    yoke_height: float = 76.2e-3
-    air_gap_length: float = 4.2e-3
-    limb_radius: float = 9.9e-3
-    window_outer_radius: float = 29.55e-3
-    window_bottom: float = 9.9e-3
-    window_top: float = 66.3e-3
-    winding_inner_radius: float = 12.6e-3
-    winding_thickness: float = 14.0e-3
-    winding_height: float = 50.0e-3
+    yoke_outer_radius: float
+    yoke_height: float
+    air_gap_length: float
+    limb_radius: float
+    window_outer_radius: float
+    window_bottom: float
+    window_top: float
+    winding_inner_radius: float
+    winding_thickness: float
+    winding_height: float
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:

@@ -70,7 +70,8 @@ class FoilWindingSpec:
     ``foil_pitch`` is the per-turn period across the stacking direction; the
     conductor occupies ``fill_factor * foil_pitch`` of it.  The winding block
     spans ``n_turns * foil_pitch`` radially starting at ``inner_radius`` and
-    ``height`` axially, centered at ``z_center``.
+    ``height`` axially.  The foils conduct with ``sigma_c`` and are separated
+    by nonconducting insulation; both have the vacuum reluctivity.
     """
 
     n_turns: int
@@ -78,11 +79,7 @@ class FoilWindingSpec:
     foil_pitch: float
     height: float
     inner_radius: float
-    z_center: float
     sigma_c: float
-    sigma_i: float = 0.0
-    nu_c: float = 1.0 / MU0
-    nu_i: float = 1.0 / MU0
 
     def __post_init__(self):
         if self.n_turns < 1:
@@ -91,16 +88,12 @@ class FoilWindingSpec:
             raise ValidationError("fill factor must be in (0, 1]")
         if min(self.foil_pitch, self.height, self.inner_radius) <= 0.0:
             raise ValidationError("winding dimensions must be positive")
-        if self.sigma_c < 0.0 or self.sigma_i < 0.0:
-            raise ValidationError("conductivities must be nonnegative")
+        if self.sigma_c < 0.0:
+            raise ValidationError("conductivity must be nonnegative")
 
     @property
     def radial_extent(self) -> float:
         return self.n_turns * self.foil_pitch
-
-    @property
-    def outer_radius(self) -> float:
-        return self.inner_radius + self.radial_extent
 
     @property
     def mid_radius(self) -> float:
@@ -127,8 +120,9 @@ def homogenize_materials(fill_factor, sigma_c, sigma_i, nu_c, nu_i) -> RegionMat
     return RegionMaterial(sigma=(0.0, sigma_beta), nu=(nu_alpha, nu_beta))
 
 
-def device_materials(spec: FoilWindingSpec, yoke_sigma: float = 10.0, yoke_mu_r: float = 1000.0) -> MaterialSpec:
-    """Material table for the shipped gapped-core device."""
+def device_materials(spec: FoilWindingSpec, yoke_sigma: float, yoke_mu_r: float) -> MaterialSpec:
+    """Material table of the gapped-core device; the yoke has conductivity
+    ``yoke_sigma`` and relative permeability ``yoke_mu_r``."""
     nu_air = 1.0 / MU0
     return MaterialSpec(
         {
@@ -136,7 +130,7 @@ def device_materials(spec: FoilWindingSpec, yoke_sigma: float = 10.0, yoke_mu_r:
             int(RegionTag.AIR_GAP): RegionMaterial.isotropic(0.0, nu_air),
             int(RegionTag.YOKE): RegionMaterial.isotropic(yoke_sigma, 1.0 / (MU0 * yoke_mu_r)),
             int(RegionTag.FOIL_WINDING): homogenize_materials(
-                spec.fill_factor, spec.sigma_c, spec.sigma_i, spec.nu_c, spec.nu_i
+                spec.fill_factor, spec.sigma_c, 0.0, 1.0 / MU0, 1.0 / MU0
             ),
         }
     )
@@ -285,7 +279,7 @@ def assemble_G_exact(spec: FoilWindingSpec, basis: VoltageBasis) -> np.ndarray:
     the winding height.
     """
     sigma_beta = homogenize_materials(
-        spec.fill_factor, spec.sigma_c, spec.sigma_i, spec.nu_c, spec.nu_i
+        spec.fill_factor, spec.sigma_c, 0.0, 1.0 / MU0, 1.0 / MU0
     ).sigma[1]
     n_pieces = max(basis.n_functions - 1, 1) if basis.family == "hat" else 1
     kinks = np.linspace(-1.0, 1.0, n_pieces + 1)

@@ -13,15 +13,9 @@ from foilfem.assembly import (
     assemble_modified_mass,
     assemble_stiffness,
 )
+from foilfem.experiments import ExperimentConfig, build_mesh
 from foilfem.linalg import max_abs, sparse_factorize
-from foilfem.mesh import (
-    GeometrySpec,
-    Mesh,
-    RegionTag,
-    generate_parametric_mesh,
-    rectangle_mesh,
-    refine_uniform,
-)
+from foilfem.mesh import Mesh, RegionTag, rectangle_mesh, refine_uniform
 
 R_FAR = 1.0e4  # radial offset that makes the axisymmetric weights quasi-planar
 
@@ -76,7 +70,7 @@ class TestStiffness:
         assert max_abs(iso - aniso) == 0.0
 
     def test_exact_symmetry_and_psd(self):
-        mesh = generate_parametric_mesh(GeometrySpec(), 8.0e-3)
+        mesh = build_mesh(ExperimentConfig(), 0)
         disc = FieldDiscretization.from_mesh(mesh)
         mats = MaterialSpec(
             {
@@ -97,7 +91,7 @@ class TestStiffness:
             assert x @ (m @ x) >= -1e-12 * max_abs(m) * (x @ x)
 
     def test_pencil_regular_on_shipped_geometry(self):
-        mesh = generate_parametric_mesh(GeometrySpec(), 8.0e-3)
+        mesh = build_mesh(ExperimentConfig(), 0)
         disc = FieldDiscretization.from_mesh(mesh)
         mats = MaterialSpec(
             {
@@ -167,7 +161,7 @@ class TestMass:
         assert float(m.sum()) == pytest.approx(total, rel=1e-13)
 
     def test_winding_only_support(self):
-        mesh = generate_parametric_mesh(GeometrySpec(), 8.0e-3)
+        mesh = build_mesh(ExperimentConfig(), 0)
         disc = FieldDiscretization.from_mesh(mesh)
         mats = MaterialSpec(
             {

@@ -304,7 +304,7 @@ def device_system(level, basis_family):
 def device_solid_system():
     cfg = ExperimentConfig()
     mesh = build_mesh(cfg, 0)
-    materials = device_materials(build_winding_spec(cfg))
+    materials = device_materials(build_winding_spec(cfg), cfg.yoke_conductivity, cfg.yoke_permeability)
     return build_solid_system(mesh, materials, FieldDiscretization.from_mesh(mesh))
 
 

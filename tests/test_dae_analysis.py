@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from foilfem.assembly import FieldDiscretization
 from foilfem.circuit import mna_stamp, parse_netlist
 from foilfem.dae_analysis import (
     KERNEL_TOL,
@@ -19,28 +18,11 @@ from foilfem.dae_analysis import (
 from foilfem.errors import IndefiniteDifferenceError, NonpositiveInductanceError
 from foilfem.experiments import ExperimentConfig, build_mesh, build_system
 from foilfem.linalg import canonical_csr, rank
-from foilfem.mesh import GeometrySpec, generate_parametric_mesh
-from foilfem.winding import (
-    BASIS_FAMILIES,
-    AssembledFoilSystem,
-    FoilWindingSpec,
-    VoltageBasis,
-    assemble_foil_system,
-    device_materials,
-)
+from foilfem.winding import BASIS_FAMILIES, AssembledFoilSystem
 
 from oracles import build_projectors, nullspace_basis, projector_inductance, terminal_impedance
 
-GEOM = GeometrySpec()
-SPEC = FoilWindingSpec(
-    n_turns=50,
-    fill_factor=0.8,
-    foil_pitch=0.28e-3,
-    height=50.0e-3,
-    inner_radius=12.6e-3,
-    z_center=0.5 * GEOM.yoke_height,
-    sigma_c=6.0e7,
-)
+SINGLE_FUNCTION = ExperimentConfig(n_basis=1)
 
 
 def scalar_toy(m=2.0, x=3.0, k=5.0, n_turns=4.0):
@@ -58,25 +40,13 @@ def scalar_toy(m=2.0, x=3.0, k=5.0, n_turns=4.0):
 
 
 @pytest.fixture(scope="module")
-def coarse_pair():
-    mesh = generate_parametric_mesh(GEOM, 8.0e-3)
-    disc = FieldDiscretization.from_mesh(mesh)
-    mats = device_materials(SPEC)
-    legendre = assemble_foil_system(mesh, materials=mats, disc=disc, spec=SPEC, basis=VoltageBasis(5))
-    hat = assemble_foil_system(
-        mesh, materials=mats, disc=disc, spec=SPEC, basis=VoltageBasis(5, family="hat")
-    )
-    return legendre, hat
+def coarse_pair(device_systems):
+    return device_systems(0, "legendre"), device_systems(0, "hat")
 
 
 @pytest.fixture(scope="module")
-def fine_hat_system():
-    mesh = generate_parametric_mesh(GEOM, 1.7e-3)
-    disc = FieldDiscretization.from_mesh(mesh)
-    mats = device_materials(SPEC)
-    return assemble_foil_system(
-        mesh, materials=mats, disc=disc, spec=SPEC, basis=VoltageBasis(5, family="hat")
-    )
+def fine_hat_system(device_systems):
+    return device_systems(2, "hat")
 
 
 class TestStrandedForm:
@@ -113,13 +83,10 @@ class TestStrandedForm:
 
     def test_single_function_series_resistance(self, coarse_pair):
         # constant-profile reduction: R = c^T Ge^-1 c = N^2 / G_sol
-        mesh = generate_parametric_mesh(GEOM, 8.0e-3)
-        disc = FieldDiscretization.from_mesh(mesh)
-        mats = device_materials(SPEC)
-        sys1 = assemble_foil_system(mesh, materials=mats, disc=disc, spec=SPEC, basis=VoltageBasis(1))
+        sys1 = build_system(SINGLE_FUNCTION, build_mesh(SINGLE_FUNCTION))[0]
         sf = schur_stranded_form(sys1)
         g_sol = float(sys1.x @ (sys1.M @ sys1.x))
-        assert sf.R == pytest.approx(SPEC.n_turns**2 / g_sol, rel=1e-10)
+        assert sf.R == pytest.approx(SINGLE_FUNCTION.n_turns**2 / g_sol, rel=1e-10)
 
     def test_quasistatic_terminal_resistance(self, coarse_pair):
         sys, _ = coarse_pair
@@ -301,10 +268,7 @@ class TestClassification:
         assert cls.degenerate_difference
 
     def test_single_function_either_mode_inductance_like(self):
-        mesh = generate_parametric_mesh(GEOM, 8.0e-3)
-        disc = FieldDiscretization.from_mesh(mesh)
-        mats = device_materials(SPEC)
-        sys = assemble_foil_system(mesh, materials=mats, disc=disc, spec=SPEC, basis=VoltageBasis(1))
+        sys = build_system(SINGLE_FUNCTION, build_mesh(SINGLE_FUNCTION))[0]
         for mode in ("G", "Ge"):
             cls = classify_element(sys, mode)
             assert cls.kind is ElementKind.INDUCTANCE_LIKE

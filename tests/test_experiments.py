@@ -1,6 +1,7 @@
 """Experiment configuration, metrics and output-emission tests."""
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -10,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from foilfem import cli, experiments
 from foilfem.errors import ParseError, SingularSystemAtStepError, ValidationError
@@ -19,6 +22,7 @@ from foilfem.experiments import (
     build_geometry,
     build_mesh,
     build_system,
+    build_winding_spec,
     demo_inductor,
     emit_csv,
     emit_svg_plot,
@@ -33,7 +37,9 @@ from foilfem.experiments import (
     run_transient,
     run_transients,
 )
+from foilfem.mesh import GeometrySpec, RegionTag
 from foilfem.timestepper import TimeSeries
+from foilfem.winding import FoilWindingSpec, device_materials
 from oracles import loop_fig4, loop_fig5
 
 # the y-axis tick labels of an emitted SVG
@@ -97,6 +103,43 @@ class TestConfig:
     def test_geometry_derives_winding_thickness(self):
         geom = build_geometry(ExperimentConfig())
         assert geom.winding_thickness == pytest.approx(50 * 0.28e-3)
+
+    def test_the_config_is_the_only_description_of_the_device(self):
+        with pytest.raises(TypeError):
+            GeometrySpec()
+        spec = build_winding_spec(ExperimentConfig())
+        with pytest.raises(TypeError):
+            device_materials(spec)
+        assert [f.name for f in dataclasses.fields(FoilWindingSpec)] == [
+            "n_turns", "fill_factor", "foil_pitch", "height", "inner_radius", "sigma_c"
+        ]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n_turns=st.integers(1, 80),
+        foil_pitch=st.floats(0.05e-3, 0.4e-3),
+        winding_inner_radius=st.floats(10e-3, 20e-3),
+        winding_height=st.floats(5e-3, 55e-3),
+        fill_factor=st.floats(0.3, 1.0),
+        level=st.integers(0, 1),
+    )
+    def test_geometry_winding_and_mesh_share_one_winding_rectangle(self, level, **winding):
+        cfg = ExperimentConfig(**winding)
+        try:
+            geom = build_geometry(cfg)
+        except ValidationError:
+            assume(False)
+        spec = build_winding_spec(cfg)
+        assert geom.winding_inner_radius == spec.inner_radius
+        assert geom.winding_thickness == spec.radial_extent
+        assert geom.winding_height == spec.height
+        mesh = build_mesh(cfg, level)
+        corners = mesh.nodes[mesh.triangles[mesh.regions == int(RegionTag.FOIL_WINDING)]]
+        r, z = corners[..., 0], corners[..., 1]
+        assert (r.min(), r.max()) == (geom.winding_inner_radius, geom.winding_outer_radius)
+        assert (z.min(), z.max()) == geom.winding_z_bounds
+        ends = spec.alpha_normalized(np.array([r.min(), r.max()]))
+        assert np.max(np.abs(ends - [-1.0, 1.0])) <= 1e-13
 
     def test_mesh_levels(self):
         assert mesh_edge_length(0) == 8.0e-3

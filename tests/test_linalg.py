@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foilfem
-from foilfem.circuit import mna_stamp, parse_netlist
 from foilfem.errors import InconsistentRhsError, SingularMatrixError
-from foilfem.experiments import ExperimentConfig, build_mesh, build_system, source_line
+from foilfem.experiments import ExperimentConfig, build_mesh, build_system, winding_dae
 from foilfem.linalg import (
     RestrictedSpdSolver,
     canonical_csr,
@@ -247,8 +246,7 @@ class TestCsrProduct:
     @pytest.mark.parametrize("drive", ["i", "v"])
     @pytest.mark.parametrize("level", [0, 2])
     def test_matches_matmul_on_stamped_daes_bit_for_bit(self, level, drive, dt):
-        net = parse_netlist(f"{source_line(ExperimentConfig(), drive)}\nFW1 1 0 FILE <m> MODE Ge")
-        dae = mna_stamp(net, field_systems={"<m>": built_system(level)})
+        dae = winding_dae(ExperimentConfig(), built_system(level), drive, "Ge")
         a = dae.E.multiply(1.0 / dt).tocsr()
         rng = np.random.default_rng(level)
         # magnitudes over 16 decades, so a different summation order would show in the bits

@@ -1,13 +1,15 @@
 """Mesh generation, refinement and text-format tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foilfem.errors import ParseError, ValidationError
+from foilfem.experiments import ExperimentConfig, build_geometry
 from foilfem.mesh import (
-    GeometrySpec,
     Mesh,
     RegionTag,
     generate_parametric_mesh,
@@ -18,7 +20,7 @@ from foilfem.mesh import (
     write_mesh,
 )
 
-GEOM = GeometrySpec()
+GEOM = build_geometry(ExperimentConfig())
 
 
 def analytic_region_areas(geom):
@@ -97,7 +99,7 @@ class TestParametricMesh:
 
     def test_bad_geometry_raises(self):
         with pytest.raises(ValidationError):
-            GeometrySpec(winding_inner_radius=5.0e-3)  # would overlap the limb
+            replace(GEOM, winding_inner_radius=5.0e-3)  # would overlap the limb
 
 
 class TestRefineUniform:

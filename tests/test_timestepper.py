@@ -29,7 +29,7 @@ from foilfem.errors import (
     SingularSystemAtStepError,
     ValidationError,
 )
-from foilfem.experiments import ExperimentConfig, build_mesh, build_system, source_line
+from foilfem.experiments import ExperimentConfig, build_mesh, build_system, winding_dae
 from foilfem.linalg import Factorization, sparse_factorize
 from foilfem.timestepper import (
     BLAS_ROWS,
@@ -147,8 +147,7 @@ class TestFoilPowerBalance:
         cfg = ExperimentConfig(duration=5e-3)
         mesh = build_mesh(cfg, 0)
         system, _, _ = build_system(cfg, mesh)
-        net = parse_netlist(f"{source_line(cfg, 'v')}\nFW1 1 0 FILE <mem> MODE Ge")
-        dae = mna_stamp(net, field_systems={"<mem>": system})
+        dae = winding_dae(cfg, system, "v", "Ge")
         stepper = StepperConfig(t0=0.0, t_end=cfg.duration, dt=cfg.dt)
         series, states = loop_integrate(dae, stepper, probe_names=["FW1"], snapshot_stride=1)
         # the full states come from the loop-form oracle, whose FW1 traces are integrate's
@@ -425,9 +424,7 @@ def foil_system(basis_family, exact_g=False, level=0):
 
 
 def foil_dae(drive, mode, basis_family="legendre", exact_g=False, level=0):
-    system = foil_system(basis_family, exact_g, level)
-    net = parse_netlist(f"{source_line(ExperimentConfig(), drive)}\nFW1 1 0 FILE <mem> MODE {mode}")
-    return mna_stamp(net, field_systems={"<mem>": system})
+    return winding_dae(ExperimentConfig(), foil_system(basis_family, exact_g, level), drive, mode)
 
 
 def lumped_dae(text):

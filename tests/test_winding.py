@@ -1,6 +1,7 @@
 """Foil-winding homogenization, coupling blocks and conductance variants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from foilfem.assembly import QUADRATURE_RULES, FieldDiscretization, MaterialSpec
 from foilfem.circuit import mna_stamp, parse_netlist
 from foilfem.errors import ValidationError
-from foilfem.experiments import ExperimentConfig, build_mesh
+from foilfem.experiments import ExperimentConfig, build_geometry, build_mesh, build_winding_spec
 from foilfem.linalg import max_abs, rank
-from foilfem.mesh import GeometrySpec, RegionTag, generate_parametric_mesh, rectangle_mesh, refine_uniform
+from foilfem.mesh import RegionTag, rectangle_mesh, refine_uniform
 from foilfem.winding import (
     MODES,
     MU0,
@@ -32,16 +33,9 @@ from foilfem.winding import (
     solid_from_foil,
 )
 
-GEOM = GeometrySpec()
-SPEC = FoilWindingSpec(
-    n_turns=50,
-    fill_factor=0.8,
-    foil_pitch=0.28e-3,
-    height=50.0e-3,
-    inner_radius=12.6e-3,
-    z_center=0.5 * GEOM.yoke_height,
-    sigma_c=6.0e7,
-)
+CFG = ExperimentConfig()
+GEOM = build_geometry(CFG)
+SPEC = build_winding_spec(CFG)
 
 R_FAR = 1.0e4
 TOY_SPEC = FoilWindingSpec(
@@ -50,7 +44,6 @@ TOY_SPEC = FoilWindingSpec(
     foil_pitch=0.5,
     height=1.0,
     inner_radius=R_FAR,
-    z_center=0.5,
     sigma_c=1.0,
 )
 
@@ -70,9 +63,9 @@ def toy_setup(h=0.5):
 
 @pytest.fixture(scope="module")
 def coarse_setup():
-    mesh = generate_parametric_mesh(GEOM, 8.0e-3)
+    mesh = build_mesh(CFG, 0)
     disc = FieldDiscretization.from_mesh(mesh)
-    mats = device_materials(SPEC)
+    mats = device_materials(SPEC, CFG.yoke_conductivity, CFG.yoke_permeability)
     return mesh, disc, mats
 
 
@@ -288,10 +281,9 @@ class TestCouplingBlocks:
 
 class TestExactConductance:
     def test_single_function_matches_closed_form(self):
-        sigma_beta = homogenize_materials(
-            SPEC.fill_factor, SPEC.sigma_c, SPEC.sigma_i, SPEC.nu_c, SPEC.nu_i
-        ).sigma[1]
-        closed = sigma_beta * SPEC.height * math.log(SPEC.outer_radius / SPEC.inner_radius) / (2.0 * math.pi)
+        sigma_beta = homogenize_materials(SPEC.fill_factor, SPEC.sigma_c, 0.0, 1.0 / MU0, 1.0 / MU0).sigma[1]
+        log_ratio = math.log(GEOM.winding_outer_radius / SPEC.inner_radius)
+        closed = sigma_beta * SPEC.height * log_ratio / (2.0 * math.pi)
         for family in ("legendre", "hat"):
             g = assemble_G_exact(SPEC, VoltageBasis(1, family=family))
             assert g.shape == (1, 1)
@@ -309,9 +301,7 @@ class TestExactConductance:
 
         basis = VoltageBasis(5, family=family)
         g = assemble_G_exact(SPEC, basis)
-        sigma_beta = homogenize_materials(
-            SPEC.fill_factor, SPEC.sigma_c, SPEC.sigma_i, SPEC.nu_c, SPEC.nu_i
-        ).sigma[1]
+        sigma_beta = homogenize_materials(SPEC.fill_factor, SPEC.sigma_c, 0.0, 1.0 / MU0, 1.0 / MU0).sigma[1]
         half_extent = 0.5 * SPEC.radial_extent
         kinks = SPEC.mid_radius + half_extent * np.linspace(-1.0, 1.0, basis.n_functions)
         for k in range(basis.n_functions):
@@ -321,7 +311,7 @@ class TestExactConductance:
                     return float(basis.eval(k, alpha) * basis.eval(l, alpha)) / r
 
                 value, _ = quad(
-                    integrand, SPEC.inner_radius, SPEC.outer_radius,
+                    integrand, SPEC.inner_radius, GEOM.winding_outer_radius,
                     points=kinks[1:-1], epsabs=1e-13, epsrel=1e-13, limit=200,
                 )
                 reference = sigma_beta * SPEC.height * value / (2.0 * math.pi)
@@ -365,18 +355,9 @@ class TestSolidReduction:
         assert np.max(np.abs(sys1.X[:, 0] - solid.x_sol)) <= 1e-13 * np.max(np.abs(solid.x_sol))
 
     def test_solid_conductance_positive_and_linear_in_sigma(self, coarse_setup):
-        mesh, disc, _ = coarse_setup
-        mats1 = device_materials(SPEC)
-        spec2 = FoilWindingSpec(
-            n_turns=SPEC.n_turns,
-            fill_factor=SPEC.fill_factor,
-            foil_pitch=SPEC.foil_pitch,
-            height=SPEC.height,
-            inner_radius=SPEC.inner_radius,
-            z_center=SPEC.z_center,
-            sigma_c=2.0 * SPEC.sigma_c,
-        )
-        mats2 = device_materials(spec2)
+        mesh, disc, mats1 = coarse_setup
+        spec2 = replace(SPEC, sigma_c=2.0 * SPEC.sigma_c)
+        mats2 = device_materials(spec2, CFG.yoke_conductivity, CFG.yoke_permeability)
         g1 = build_solid_system(mesh, mats1, disc).G_sol
         g2 = build_solid_system(mesh, mats2, disc).G_sol
         assert g1 > 0.0
