@@ -12,10 +12,10 @@ Subcommands::
 
 Every subcommand takes ``--config <path>``, a flat ``key = value`` file, and
 ``--out``, the output directory.  Each declares only the behaviour flags it
-reads (``SUBCOMMAND_FLAGS``); explicit flags override file values.  A usage
-error exits with status 2, a rejected input or an unreadable or unwritable
-file with a one-line ``foilfem: error:`` message and status 1.  ``fig4`` and
-``fig5`` print the report their study returns.
+reads (``SUBCOMMAND_FLAGS``); a flag overrides the file, the file the command's
+default config.  A usage error exits with status 2, a rejected input or an
+unreadable or unwritable file with a one-line ``foilfem: error:`` message and
+status 1.  ``simulate``, ``fig4`` and ``fig5`` print their study's report.
 """
 
 from __future__ import annotations
@@ -33,26 +33,20 @@ from .experiments import (
     build_mesh,
     build_system,
     demo_inductor,
-    emit_csv,
-    emit_svg_plot,
     load_config,
     mesh_edge_length,
-    noise_fit_grid,
-    noise_metric,
     read_text,
-    response,
     run_classify,
     run_fig4,
     run_fig5,
-    run_transient,
+    run_simulate,
 )
 from .linalg import write_matrix_market
 from .mesh import RegionTag, read_mesh, refine_uniform, write_mesh
 from .winding import BASIS_FAMILIES, MODES, save_system
 
-# behaviour flags; the dest of each one but --format is an ExperimentConfig key
+# behaviour flags; the dest of each one is an ExperimentConfig key
 BEHAVIOUR_FLAGS = {
-    "--format": dict(choices=("csv", "svg", "both"), default="both"),
     "--mesh-level": dict(type=int),
     "--mode": dict(choices=MODES),
     "--drive": dict(choices=DRIVES),
@@ -65,7 +59,7 @@ SUBCOMMAND_FLAGS = {
     "mesh": ("--mesh-level",),
     "assemble": ("--mesh-level", "--basis"),
     "classify": ("--mesh-level", "--basis"),
-    "simulate": ("--format", "--mesh-level", "--mode", "--drive", "--dt", "--duration", "--basis"),
+    "simulate": ("--mesh-level", "--mode", "--drive", "--dt", "--duration", "--basis"),
     "fig4": ("--duration", "--basis"),
     "fig5": ("--duration", "--basis"),
     "demo-inductor": ("--dt", "--duration"),
@@ -73,7 +67,7 @@ SUBCOMMAND_FLAGS = {
 
 
 def _config_from(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = load_config(args.config, args.defaults) if args.config else args.defaults
     keys = {f.name for f in fields(ExperimentConfig)}
     overrides = {key: v for key, v in vars(args).items() if key in keys and v is not None}
     return replace(cfg, **overrides)
@@ -132,35 +126,9 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = _config_from(args)
-    noise_fit_grid(cfg, cfg.dt)
-    system = build_system(cfg, build_mesh(cfg))[0]
-    series = run_transient(cfg, system, cfg.drive, cfg.mode, cfg.dt)
-    trace, ylabel = response(series, cfg.drive)
-    metric = noise_metric(series.times, trace, cfg.frequency)
-    out = _out_dir(args)
-    stem = f"simulate_{cfg.drive}fed_{cfg.mode}_level{cfg.mesh_level}"
-    if args.format in ("csv", "both"):
-        emit_csv(out / f"{stem}.csv", series, "FW1")
-        print(f"wrote {out / (stem + '.csv')}")
-    if args.format in ("svg", "both"):
-        emit_svg_plot(out / f"{stem}.svg", [(cfg.mode, series.times, trace, series.diverged_at)],
-                      xlabel="t [s]", ylabel=ylabel)
-        print(f"wrote {out / (stem + '.svg')}")
-    print(f"fundamental = {metric.fundamental_amplitude:.6e}, noise rms = {metric.noise_rms:.6e}")
-    if series.diverged_at is not None:
-        print(f"DIVERGED at step {series.diverged_at}")
-    return 0
-
-
-def cmd_fig4(args) -> int:
-    sys.stdout.write(run_fig4(_config_from(args), out_dir=Path(args.out))["report"])
-    return 0
-
-
-def cmd_fig5(args) -> int:
-    sys.stdout.write(run_fig5(_config_from(args), out_dir=Path(args.out))["report"])
+def cmd_study(args) -> int:
+    run = {"simulate": run_simulate, "fig4": run_fig4, "fig5": run_fig5}[args.command]
+    sys.stdout.write(run(_config_from(args), out_dir=Path(args.out))["report"])
     return 0
 
 
@@ -180,10 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
         "mesh": (cmd_mesh, "generate, refine or inspect meshes"),
         "assemble": (cmd_assemble, "assemble and save the coupled system"),
         "classify": (cmd_classify, "element classification report"),
-        "simulate": (cmd_simulate, "one transient run"),
-        "fig4": (cmd_fig4, "perturbation-sensitivity study"),
+        "simulate": (cmd_study, "one transient run"),
+        "fig4": (cmd_study, "perturbation-sensitivity study"),
         "fig5": (
-            cmd_fig5,
+            cmd_study,
             "conductance-variant mesh study: the exact, mesh-free original G "
             "against the consistent Ge on a coarse and a fine mesh; defaults to the "
             "hat basis family, whose profiles are not exactly representable on the "
@@ -198,13 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default="out", help="output directory")
         for flag in SUBCOMMAND_FLAGS[name]:
             p.add_argument(flag, **BEHAVIOUR_FLAGS[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, defaults=ExperimentConfig())
     subparsers["mesh"].add_argument("mesh_action", choices=("gen", "refine", "info"))
     subparsers["mesh"].add_argument("--mesh", type=str, default=None, help="mesh file (refine/info)")
     subparsers["assemble"].add_argument(
         "--mtx", action="store_true", help="also dump Matrix Market files"
     )
-    subparsers["fig5"].set_defaults(basis_family="hat")
+    subparsers["fig5"].set_defaults(defaults=ExperimentConfig(basis_family="hat"))
     return parser
 
 

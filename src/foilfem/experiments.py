@@ -52,6 +52,8 @@ NOISE_TAIL = 0.6
 NOISE_FIT_COLUMNS = 2 * NOISE_HARMONICS + 3  # a constant, a sine and a cosine per tone
 FIG4_DTS = (1.0e-4, 1.0e-5)
 FIG5_DT = 1.0e-4
+# the keys build_geometry reads: GeometrySpec's fields, but the winding thickness from two
+GEOMETRY_KEYS = {f.name for f in fields(GeometrySpec)} - {"winding_thickness"} | {"n_turns", "foil_pitch"}
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,8 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Read a flat ``key = value`` UTF-8 config file on top of the defaults.
 
     A value that :class:`ExperimentConfig` rejects raises its
-    :class:`ValidationError`, located at the key's line.
+    :class:`ValidationError`, located at the key's line; a device that
+    :func:`build_geometry` rejects names the geometry keys the file sets.
     """
     base = base or ExperimentConfig()
     field_types = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -162,9 +165,14 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
             raise ParseError(f"bad value {value!r} for {key}", line=line_no) from exc
         key_lines[key] = line_no
     try:
-        return replace(base, **overrides)
+        cfg = replace(base, **overrides)
+        build_geometry(cfg)  # its checks, unlike ExperimentConfig's, span several keys
     except ValidationError as exc:
+        if exc.key is None:
+            lines = (f"{key} (line {n})" for key, n in key_lines.items() if key in GEOMETRY_KEYS)
+            exc.message += f"; the file sets {', '.join(lines)}"
         raise ValidationError(exc.message, key=exc.key, line=key_lines.get(exc.key)) from None
+    return cfg
 
 
 def build_geometry(cfg: ExperimentConfig) -> GeometrySpec:
@@ -378,6 +386,22 @@ def emit_study(out_dir, prefix, runs, plots, report: str) -> None:
             curves.append((label, series.times, trace, series.diverged_at))
         emit_svg_plot(out / f"{prefix}_{name}.svg", curves, xlabel="t [s]", ylabel=ylabel)
     (out / f"{prefix}_metrics.txt").write_text(report, encoding="ascii")
+
+
+def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
+    """One run of the configured drive, mode, mesh level and ``dt``.  Writes the CSV, SVG
+    and metrics files to ``out_dir`` and returns the response's noise metric and any
+    divergence step as ``results["report"]``."""
+    noise_fit_grid(cfg, cfg.dt)
+    system = build_system(cfg, build_mesh(cfg))[0]
+    series = run_transient(cfg, system, cfg.drive, cfg.mode, cfg.dt)
+    metric = noise_metric(series.times, response(series, cfg.drive)[0], cfg.frequency)
+    report = f"fundamental = {metric.fundamental_amplitude:.6e}, noise rms = {metric.noise_rms:.6e}\n"
+    if series.diverged_at is not None:
+        report += f"DIVERGED at step {series.diverged_at}\n"
+    key = f"{cfg.drive}fed_{cfg.mode}_level{cfg.mesh_level}"
+    emit_study(out_dir, "simulate", {key: series}, {key: (cfg.drive, [(cfg.mode, series)])}, report)
+    return {"series": series, "metric": metric, "report": report}
 
 
 def run_fig4(cfg: ExperimentConfig, out_dir) -> dict:

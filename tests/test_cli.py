@@ -1,8 +1,10 @@
 """CLI subcommand smoke tests (fast paths; studies run in the acceptance suite)."""
 
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,16 @@ import pytest
 
 import foilfem
 from foilfem.cli import build_parser, main
-from foilfem.experiments import read_csv_series
+from foilfem.experiments import (
+    ExperimentConfig,
+    build_mesh,
+    build_system,
+    emit_csv,
+    emit_svg_plot,
+    noise_metric,
+    read_csv_series,
+    run_transient,
+)
 from foilfem.mesh import read_mesh
 from foilfem.winding import load_system
 
@@ -38,7 +49,7 @@ ACCEPTED = {
     ("mesh", "gen"): {"--mesh-level"},
     ("assemble",): {"--mesh-level", "--basis"},
     ("classify",): {"--mesh-level", "--basis"},
-    ("simulate",): {"--format", "--mesh-level", "--mode", "--drive", "--dt", "--duration", "--basis"},
+    ("simulate",): {"--mesh-level", "--mode", "--drive", "--dt", "--duration", "--basis"},
     ("fig4",): {"--duration", "--basis"},
     ("fig5",): {"--duration", "--basis"},
     ("demo-inductor",): {"--dt", "--duration"},
@@ -67,10 +78,22 @@ class TestFlagScope:
         )
         assert args.config == str(tmp_path / "run.cfg") and args.out == str(tmp_path)
 
-    def test_fig5_defaults_to_the_hat_basis(self):
-        assert build_parser().parse_args(["fig5"]).basis_family == "hat"
-        assert build_parser().parse_args(["fig5", "--basis", "legendre"]).basis_family == "legendre"
-        assert build_parser().parse_args(["fig4"]).basis_family is None
+    def test_fig5_defaults_to_the_hat_basis(self, tmp_path, capsys, monkeypatch):
+        # a flag overrides the config file, and the file overrides the command's default
+        seen = []
+
+        def stub(cfg, out_dir):
+            seen.append(cfg.basis_family)
+            return {"report": ""}
+
+        monkeypatch.setattr("foilfem.cli.run_fig4", stub)
+        monkeypatch.setattr("foilfem.cli.run_fig5", stub)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("basis_family = legendre\n")
+        for argv in (["fig5"], ["fig5", "--basis", "legendre"], ["fig5", "--config", str(cfg_path)],
+                     ["fig5", "--config", str(cfg_path), "--basis", "hat"], ["fig4"]):
+            run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert seen == ["hat", "legendre", "legendre", "hat", "legendre"]
 
 
 class TestMeshCommands:
@@ -150,6 +173,42 @@ class TestSimulateCommand:
         t, _, _ = read_csv_series(tmp_path / "simulate_ifed_Ge_level0.csv")
         assert t.size == 21
 
+    @pytest.mark.parametrize("overrides, diverged_at", [({}, None),
+                             ({"drive": "i", "mode": "G", "dt": 1e-5}, None), ({}, 15)],
+                             ids=["vfed-Ge", "ifed-G", "diverged"])
+    def test_simulate_writes_the_run_and_prints_the_metrics_file(
+        self, overrides, diverged_at, tmp_path, capsys, monkeypatch
+    ):
+        def run(*args):
+            return replace(run_transient(*args), diverged_at=diverged_at)
+
+        monkeypatch.setattr("foilfem.experiments.run_transient", run)
+        argv = [str(arg) for key, value in overrides.items() for arg in (f"--{key}", value)]
+        out = tmp_path / "out"
+        report = run_cli(capsys, "simulate", *argv, "--duration", "2e-3", "--out", str(out))
+        cfg = ExperimentConfig(duration=2e-3, **overrides)
+        series = run(cfg, build_system(cfg, build_mesh(cfg))[0], cfg.drive, cfg.mode, cfg.dt)
+        if cfg.drive == "i":
+            trace, ylabel = series.voltages["FW1"], "v [V]"
+        else:
+            trace, ylabel = series.currents["FW1"], "i [A]"
+        emit_csv(tmp_path / "run.csv", series, "FW1")
+        emit_svg_plot(tmp_path / "run.svg", [(cfg.mode, series.times, trace, diverged_at)],
+                      xlabel="t [s]", ylabel=ylabel)
+        stem = f"simulate_{cfg.drive}fed_{cfg.mode}_level0"
+        assert {path.name for path in out.iterdir()} == {
+            f"{stem}.csv", f"{stem}.svg", "simulate_metrics.txt"
+        }
+        for suffix in (".csv", ".svg"):
+            assert (out / f"{stem}{suffix}").read_bytes() == (tmp_path / f"run{suffix}").read_bytes()
+        assert report == (out / "simulate_metrics.txt").read_text(encoding="ascii")
+        metric = noise_metric(series.times, trace, cfg.frequency)
+        expected = (f"fundamental = {metric.fundamental_amplitude:.6e}, "
+                    f"noise rms = {metric.noise_rms:.6e}\n")
+        if diverged_at is not None:
+            expected += f"DIVERGED at step {diverged_at}\n"
+        assert report == expected
+
     def test_config_value_outside_its_set_is_rejected_with_its_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("duration = 1e-3\ndrive = I\n")
@@ -198,6 +257,33 @@ class TestProgramErrors:
         assert captured.err == (
             "foilfem: error: n_basis = 7 exceeds rank(X) = 6 on a mesh of 126 nodes (84 DoFs); "
             "use a finer mesh (mesh_level) or a smaller n_basis\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, keys",
+        [("winding_inner_radius = 5e-3\n", "winding_inner_radius (line 1)"),
+         ("mesh_level = 0\nn_turns = 80\n# 24 mm of foil\nfoil_pitch = 0.3e-3\n",
+          "n_turns (line 2), foil_pitch (line 4)")],
+        ids=["inner-radius", "thickness"],
+    )
+    def test_winding_outside_the_window_is_rejected_with_its_keys_and_lines(
+        self, text, keys, tmp_path, capsys, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("meshed before the configuration was checked")
+
+        monkeypatch.setattr("foilfem.experiments.build_mesh", forbidden)
+        monkeypatch.setattr("foilfem.cli.build_mesh", forbidden)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "foilfem: error: winding rectangle must lie strictly inside the window; "
+            f"the file sets {keys}\n"
         )
         assert not out.exists()
 
@@ -396,7 +482,15 @@ class TestStudyCommands:
     def test_fig5_prints_the_metrics_it_writes(self, tmp_path, capsys):
         out = run_cli(capsys, "fig5", "--out", str(tmp_path))
         assert out == (tmp_path / "fig5_metrics.txt").read_text(encoding="ascii")
-        assert "diverged[coarse_G] = " in out
+        assert re.search(r"^diverged\[coarse_G\] = \d+$", out, re.M)  # the hat default diverges
+
+    def test_fig5_reads_the_basis_of_a_config_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("basis_family = legendre\n")
+        from_file = run_cli(capsys, "fig5", "--config", str(cfg_path), "--out", str(tmp_path / "a"))
+        from_flag = run_cli(capsys, "fig5", "--basis", "legendre", "--out", str(tmp_path / "b"))
+        assert from_file == from_flag
+        assert "diverged[coarse_G] = None" in from_file
 
     def test_fig5_calls_the_study_bound_at_call_time(self, tmp_path, capsys, monkeypatch):
         calls = []
