@@ -21,7 +21,7 @@ elements touching the axis regular (the Dirichlet condition fixes A' = 0 on
 the axis anyway).
 
 The element data that depends only on the mesh (triangle areas and
-quadrature-point coordinates) is computed once per discretization, in
+quadrature-point radii) is computed once per discretization, in
 :meth:`FieldDiscretization.from_mesh`, and every kernel indexes into it; the
 arrays are bit-identical to computing them afresh in each kernel.
 
@@ -56,21 +56,11 @@ import scipy.sparse as sp
 
 from .mesh import Mesh, RegionTag
 
-# Barycentric quadrature rules on the reference triangle; weights sum to 1.
-_RULE_DEGREE2 = (
-    np.array(
-        [
-            [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
-            [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-            [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
-        ]
-    ),
-    np.full(3, 1.0 / 3.0),
-)
-
+# The degree-4 barycentric quadrature rule on the reference triangle (6 points); its
+# weights sum to 1.  Every assembly routine integrates with it.
 _W1, _A1 = 0.223381589678011, 0.445948490915965
 _W2, _A2 = 0.109951743655322, 0.091576213509771
-_RULE_DEGREE4 = (
+QUADRATURE_RULE = (
     np.array(
         [
             [1.0 - 2.0 * _A1, _A1, _A1],
@@ -83,25 +73,6 @@ _RULE_DEGREE4 = (
     ),
     np.array([_W1, _W1, _W1, _W2, _W2, _W2]),
 )
-
-_W3, _A3 = 0.132394152788506, 0.470142064105115
-_W4, _A4 = 0.125939180544827, 0.101286507323456
-_RULE_DEGREE5 = (
-    np.array(
-        [
-            [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-            [1.0 - 2.0 * _A3, _A3, _A3],
-            [_A3, 1.0 - 2.0 * _A3, _A3],
-            [_A3, _A3, 1.0 - 2.0 * _A3],
-            [1.0 - 2.0 * _A4, _A4, _A4],
-            [_A4, 1.0 - 2.0 * _A4, _A4],
-            [_A4, _A4, 1.0 - 2.0 * _A4],
-        ]
-    ),
-    np.array([0.225, _W3, _W3, _W3, _W4, _W4, _W4]),
-)
-
-QUADRATURE_RULES: dict = {2: _RULE_DEGREE2, 4: _RULE_DEGREE4, 5: _RULE_DEGREE5}
 TWO_PI = 2.0 * np.pi
 
 
@@ -145,43 +116,40 @@ class MaterialSpec:
 class FieldDiscretization:
     """Node-to-DoF map with Dirichlet nodes excluded, and the element data of its mesh.
 
-    ``dof_index[node] == -1`` marks a constrained node; free nodes are
-    numbered consecutively in node order.  ``quad_degree`` selects the
-    quadrature rule used by every assembly routine.  ``areas`` is the
-    ``(m,)`` triangle areas, and ``quad_r`` and ``quad_z`` the ``(m, q)``
-    coordinates of each element's quadrature points; every kernel indexes
-    into them.
+    ``dof_index[node] == -1`` marks a constrained node: the outer boundary
+    carries ``A' = 0``.  Free nodes are numbered consecutively in node order.
+    ``areas`` is the ``(m,)`` triangle areas and ``quad_r`` the ``(m, q)`` radii
+    of each element's points of :data:`QUADRATURE_RULE`; every kernel indexes
+    into them.  No kernel reads the axial coordinate of a quadrature point: the
+    conductivities are constant per element and the voltage profiles vary only
+    with the radius.
     """
 
     dof_index: np.ndarray
     n_dofs: int
-    quad_degree: int
     areas: np.ndarray
     quad_r: np.ndarray
-    quad_z: np.ndarray
 
     @classmethod
-    def from_mesh(cls, mesh: Mesh, fix_boundary: bool = True, quad_degree: int = 4):
-        fixed = mesh.boundary if fix_boundary else np.zeros(mesh.n_nodes, dtype=bool)
+    def from_mesh(cls, mesh: Mesh):
         dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
-        free = np.flatnonzero(~fixed)
+        free = np.flatnonzero(~mesh.boundary)
         dof[free] = np.arange(free.size)
-        bary = QUADRATURE_RULES[quad_degree][0]
         areas = mesh.triangle_areas()
-        quad_r, quad_z = (_quad_coordinates(mesh, bary, axis) for axis in (0, 1))
-        for a in (dof, areas, quad_r, quad_z):
+        quad_r = _quad_radii(mesh)
+        for a in (dof, areas, quad_r):
             a.setflags(write=False)
-        return cls(dof_index=dof, n_dofs=int(free.size), quad_degree=quad_degree,
-                   areas=areas, quad_r=quad_r, quad_z=quad_z)
+        return cls(dof_index=dof, n_dofs=int(free.size), areas=areas, quad_r=quad_r)
 
 
-def _quad_coordinates(mesh: Mesh, bary: np.ndarray, axis: int) -> np.ndarray:
-    """Coordinate ``axis`` of every element's quadrature points, ``(m, q)``.
+def _quad_radii(mesh: Mesh) -> np.ndarray:
+    """The radius of every element's quadrature points, ``(m, q)``.
 
     Point ``q`` is ``sum_a bary[q, a] * corner_a``, summed left to right as a
     per-element loop sums it.
     """
-    c = mesh.nodes[:, axis][mesh.triangles.T]  # (3, m)
+    bary = QUADRATURE_RULE[0]
+    c = mesh.nodes[:, 0][mesh.triangles.T]  # (3, m)
     points = bary[:, 0, None] * c[0] + bary[:, 1, None] * c[1] + bary[:, 2, None] * c[2]
     return np.ascontiguousarray(points.T)
 
@@ -239,7 +207,7 @@ def assemble_stiffness(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretiz
     ``(m, 3, 3)`` buffer.
     """
     grad_r, grad_z = _hat_gradients(mesh)
-    weights = QUADRATURE_RULES[disc.quad_degree][1]
+    weights = QUADRATURE_RULE[1]
     inv_r = np.einsum("q,mq->m", weights, 1.0 / disc.quad_r)
     ke = grad_z[:, :, None] * grad_z[:, None, :]
     ke *= _per_element(mesh.regions, materials, lambda mat: mat.nu[0])[:, None, None]
@@ -260,28 +228,27 @@ def conduction_quadrature(
 ):
     """Quadrature data of the conductive elements, of region ``tag`` or of all regions.
 
-    Returns ``(elements, r, z, w_eff, scale)``: the element indices, the
-    ``(m, q)`` quadrature point coordinates, ``w_eff = w_q * sigma / r_q`` and
-    ``scale = 2*pi*area``.  An element's mass entry weighted by ``profile`` is
-    ``scale * sum_q w_eff * profile(r, z) * N_a * N_b``.
+    Returns ``(elements, r, w_eff, scale)``: the element indices, the ``(m, q)``
+    quadrature radii, ``w_eff = w_q * sigma / r_q`` and ``scale = 2*pi*area``.
+    An element's mass entry weighted by ``profile`` is
+    ``scale * sum_q w_eff * profile(r) * N_a * N_b``.
     """
     sigma = conductivities(mesh, materials)
     chosen = sigma != 0.0 if tag is None else (sigma != 0.0) & (mesh.regions == tag)
     elements = np.flatnonzero(chosen)
-    weights = QUADRATURE_RULES[disc.quad_degree][1]
-    r, z = disc.quad_r[elements], disc.quad_z[elements]
+    r = disc.quad_r[elements]
     scale = TWO_PI * disc.areas[elements]
-    return elements, r, z, weights * sigma[elements][:, None] / r, scale
+    return elements, r, QUADRATURE_RULE[1] * sigma[elements][:, None] / r, scale
 
 
 def _mass_like(mesh, materials, disc, tag, profiles) -> sp.csr_matrix:
     """Shared kernel: one (profile-weighted) conduction mass block per profile."""
-    elements, r, z, w_eff, scale = conduction_quadrature(mesh, materials, disc, tag)
-    bary = QUADRATURE_RULES[disc.quad_degree][0]
+    elements, r, w_eff, scale = conduction_quadrature(mesh, materials, disc, tag)
+    bary = QUADRATURE_RULE[0]
     hat_products = (bary[:, :, None] * bary[:, None, :]).reshape(-1, 9)
     vals = np.empty((len(profiles), elements.size, 9))
     for k, profile in enumerate(profiles):
-        w = w_eff if profile is None else w_eff * profile(r, z)
+        w = w_eff if profile is None else w_eff * profile(r)
         vals[k] = np.matmul(w[..., None, :], hat_products)[:, 0]
     vals *= scale[:, None]
     return _scatter(disc.dof_index[mesh.triangles[elements]], vals, disc.n_dofs)
@@ -301,9 +268,8 @@ def assemble_profile_masses(
     """Winding mass matrices weighted by each profile, stacked vertically.
 
     Returns one ``(len(profiles) * n_dofs, n_dofs)`` CSR matrix.  Every
-    ``profile(r, z)`` is evaluated on ``(m, q)`` arrays of quadrature points
-    and must vanish outside the winding region; only winding-tagged elements
-    are visited.
+    ``profile(r)`` is evaluated on the ``(m, q)`` array of quadrature radii
+    of the winding-tagged elements, the only elements visited.
     """
     return _mass_like(mesh, materials, disc, int(RegionTag.FOIL_WINDING), profiles)
 
@@ -312,7 +278,7 @@ def assemble_modified_mass(
     mesh: Mesh,
     materials: MaterialSpec,
     disc: FieldDiscretization,
-    profile: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    profile: Callable[[np.ndarray], np.ndarray],
 ) -> sp.csr_matrix:
     """Mass matrix weighted by one voltage-basis profile."""
     return assemble_profile_masses(mesh, materials, disc, [profile])
@@ -322,10 +288,8 @@ def assemble_double_modified_mass(
     mesh: Mesh,
     materials: MaterialSpec,
     disc: FieldDiscretization,
-    profile_k: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    profile_l: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    profile_k: Callable[[np.ndarray], np.ndarray],
+    profile_l: Callable[[np.ndarray], np.ndarray],
 ) -> sp.csr_matrix:
     """Mass matrix weighted by a product of two voltage-basis profiles."""
-    return assemble_profile_masses(
-        mesh, materials, disc, [lambda r, z: profile_k(r, z) * profile_l(r, z)]
-    )
+    return assemble_profile_masses(mesh, materials, disc, [lambda r: profile_k(r) * profile_l(r)])

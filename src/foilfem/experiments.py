@@ -93,7 +93,7 @@ class ExperimentConfig:
             if value not in allowed:
                 message = f"{key} must be one of {', '.join(allowed)}, got {value!r}"
                 raise ValidationError(message, key=key)
-        for key, least in (("n_basis", 1), ("mesh_level", 0)):
+        for key, least in (("n_basis", 1), ("n_turns", 1), ("mesh_level", 0)):
             value = getattr(self, key)
             if value < least:
                 raise ValidationError(f"{key} must be at least {least}, got {value!r}", key=key)
@@ -105,10 +105,15 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value!r}", key=f.name)
-        for key in ("winding_conductivity", "yoke_conductivity"):
-            value = getattr(self, key)
-            if value < 0.0:
-                raise ValidationError(f"{key} must be nonnegative, got {value!r}", key=key)
+        if not 0.0 < self.fill_factor <= 1.0:
+            message = f"fill_factor must be in (0, 1], got {self.fill_factor!r}"
+            raise ValidationError(message, key="fill_factor")
+        if not self.winding_conductivity > 0.0:  # a nonconducting winding has X = 0
+            message = f"winding_conductivity must be positive, got {self.winding_conductivity!r}"
+            raise ValidationError(message, key="winding_conductivity")
+        if self.yoke_conductivity < 0.0:  # a nonconducting yoke is allowed
+            message = f"yoke_conductivity must be nonnegative, got {self.yoke_conductivity!r}"
+            raise ValidationError(message, key="yoke_conductivity")
         if not self.yoke_permeability > 0.0:
             message = f"yoke_permeability must be positive, got {self.yoke_permeability!r}"
             raise ValidationError(message, key="yoke_permeability")
@@ -240,7 +245,7 @@ def time_grid(cfg: ExperimentConfig, dt: float) -> StepperConfig:
     """The time grid of a run over the configured duration; a command builds the grid of
     each of its runs before it meshes, so a rejected ``dt`` or ``duration`` costs no
     assembly."""
-    return StepperConfig(t0=0.0, t_end=cfg.duration, dt=dt)
+    return StepperConfig(t_end=cfg.duration, dt=dt)
 
 
 def noise_fit_grid(cfg: ExperimentConfig, dt: float) -> StepperConfig:
@@ -525,7 +530,7 @@ def demo_inductor(cfg: ExperimentConfig) -> str:
     errors = []
     dts = (1.0e-3, 5.0e-4, 2.5e-4)
     for dt in dts:
-        series = integrate(dae, StepperConfig(t0=0.0, t_end=0.02, dt=dt))
+        series = integrate(dae, StepperConfig(t_end=0.02, dt=dt))
         exact = lumped_inductor_voltage_driven(l_val, 0.0, net.branches[0].value, series.times)
         err = float(np.max(np.abs(series.currents["L1"] - exact)))
         errors.append(err)

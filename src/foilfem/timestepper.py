@@ -59,31 +59,31 @@ CHUNK_ENTRIES = 76_800
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time grid of one integration run; ``dt`` must divide ``t_end - t0``."""
+    """Time grid of one integration run, from t = 0 to ``t_end``; ``dt`` must divide ``t_end``."""
 
-    t0: float
     t_end: float
     dt: float
 
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt!r}", key="dt")
-        if not self.t_end > self.t0:
-            raise ValidationError(f"t_end must exceed t0, got {self.t_end!r}", key="duration")
-        span = self.t_end - self.t0
-        steps = span / self.dt
+        if not self.t_end > 0.0:
+            raise ValidationError(f"t_end must be positive, got {self.t_end!r}", key="duration")
+        steps = self.t_end / self.dt
         if not steps <= MAX_STEPS:
             raise ValidationError(f"step count {steps:.0f} exceeds the {MAX_STEPS} guard", key="dt")
         if self.n_steps < 1:
             raise ValidationError(
-                f"dt {self.dt!r} leaves no step in the duration {span!r}", key="dt"
+                f"dt {self.dt!r} leaves no step in the duration {self.t_end!r}", key="dt"
             )
-        if abs(self.n_steps * self.dt - span) > GRID_RTOL * span:
-            raise ValidationError(f"dt {self.dt!r} does not divide the duration {span!r}", key="dt")
+        if abs(self.n_steps * self.dt - self.t_end) > GRID_RTOL * self.t_end:
+            raise ValidationError(
+                f"dt {self.dt!r} does not divide the duration {self.t_end!r}", key="dt"
+            )
 
     @property
     def n_steps(self) -> int:
-        return int(round((self.t_end - self.t0) / self.dt))
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -105,18 +105,18 @@ class TimeSeries:
         return self.times, self.currents[name], self.voltages[name]
 
 
-def consistent_zero_start(dae: DAESystem, t0: float) -> np.ndarray:
-    """All-zero initial state, verified against the algebraic rows at ``t0``.
+def consistent_zero_start(dae: DAESystem) -> np.ndarray:
+    """All-zero initial state, verified against the algebraic rows at t = 0.
 
     Rows of ``E`` without any stored entry are purely algebraic; a zero state
-    satisfies them only when the source vanishes there.  Sine-type sources at
-    t0 = 0 qualify; a DC source does not.
+    satisfies them only when the source vanishes there at the start.  Sine-type
+    sources qualify; a DC source does not.
     """
     algebraic = np.flatnonzero(np.diff(dae.E.indptr) == 0)
-    residual = dae.source(t0)[algebraic]
+    residual = dae.source(0.0)[algebraic]
     if residual.size and float(np.max(np.abs(residual))) > ZERO_START_ATOL:
         raise InconsistentInitialStateError(
-            f"zero state violates algebraic rows at t0 (residual {np.max(np.abs(residual)):.3e})"
+            f"zero state violates algebraic rows at t = 0 (residual {np.max(np.abs(residual)):.3e})"
         )
     return np.zeros(dae.E.shape[0])
 
@@ -200,7 +200,7 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
     waveform on the time grid); L, V and FW probes read theirs from the state.
     """
     n_steps = cfg.n_steps
-    times = cfg.t0 + cfg.dt * np.arange(n_steps + 1)
+    times = cfg.dt * np.arange(n_steps + 1)
     if probe_names is None:
         probe_names = list(dae.probes)
     probes = {name: dae.probes[name] for name in probe_names}
@@ -218,7 +218,7 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
     # row 0 is the zero start; the BLOCK_STEPS spare rows take the tail of the last block
     recorded = np.zeros((n_steps + 1 + BLOCK_STEPS, len(watched) + 1))
 
-    y = consistent_zero_start(dae, cfg.t0)
+    y = consistent_zero_start(dae)
     n = y.shape[0]
     sources = dae.row_sources(times)
     # whole blocks, at most BLAS_ROWS of them, in a table of at most CHUNK_ENTRIES entries

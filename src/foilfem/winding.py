@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (
-    QUADRATURE_RULES,
+    QUADRATURE_RULE,
     FieldDiscretization,
     MaterialSpec,
     RegionMaterial,
@@ -104,19 +104,25 @@ class FoilWindingSpec:
         return (np.asarray(r) - self.mid_radius) / (0.5 * self.radial_extent)
 
 
-def homogenize_materials(fill_factor, sigma_c, sigma_i, nu_c, nu_i) -> RegionMaterial:
+def homogenize_materials(fill_factor, sigma_c) -> RegionMaterial:
     """Anisotropic mixing rule for the homogenized winding block.
 
-    Across the stack (radial) no current flows; along the foils the
-    conductivities mix linearly.  Reluctivity mixes linearly across the stack
-    and harmonically along it.
+    The foils conduct with ``sigma_c`` and fill ``fill_factor`` of the stack;
+    the insulation between them is nonconducting, and both have the vacuum
+    reluctivity ``nu0 = 1 / MU0``.  Across the stack (radial) no current flows;
+    along the foils the conductivity is ``fill_factor * sigma_c``.  Reluctivity
+    mixes linearly across the stack and harmonically along it.  Both mixes are
+    written out in full rather than as ``nu0``: at some fill factors they round
+    an ulp away from it (the harmonic one does at 0.8), and the stiffness keeps
+    those bits.
     """
     lam = fill_factor
     if not 0.0 < lam <= 1.0:
         raise ValidationError("fill factor must be in (0, 1]")
-    sigma_beta = lam * sigma_c + (1.0 - lam) * sigma_i
-    nu_alpha = lam * nu_c + (1.0 - lam) * nu_i
-    nu_beta = 1.0 / (lam / nu_c + (1.0 - lam) / nu_i)
+    nu0 = 1.0 / MU0
+    sigma_beta = lam * sigma_c
+    nu_alpha = lam * nu0 + (1.0 - lam) * nu0
+    nu_beta = 1.0 / (lam / nu0 + (1.0 - lam) / nu0)
     return RegionMaterial(sigma=(0.0, sigma_beta), nu=(nu_alpha, nu_beta))
 
 
@@ -129,9 +135,7 @@ def device_materials(spec: FoilWindingSpec, yoke_sigma: float, yoke_mu_r: float)
             int(RegionTag.AIR): RegionMaterial.isotropic(0.0, nu_air),
             int(RegionTag.AIR_GAP): RegionMaterial.isotropic(0.0, nu_air),
             int(RegionTag.YOKE): RegionMaterial.isotropic(yoke_sigma, 1.0 / (MU0 * yoke_mu_r)),
-            int(RegionTag.FOIL_WINDING): homogenize_materials(
-                spec.fill_factor, spec.sigma_c, 0.0, 1.0 / MU0, 1.0 / MU0
-            ),
+            int(RegionTag.FOIL_WINDING): homogenize_materials(spec.fill_factor, spec.sigma_c),
         }
     )
 
@@ -185,9 +189,9 @@ class VoltageBasis:
 
 
 def profile_for(spec: FoilWindingSpec, basis: VoltageBasis, l: int) -> Callable:
-    """Voltage basis function ``l`` pulled back to (r, z) over the winding."""
+    """Voltage basis function ``l`` as a function of the radius over the winding."""
 
-    def profile(r, z):
+    def profile(r):
         return basis.eval(l, spec.alpha_normalized(r))
 
     return profile
@@ -260,9 +264,9 @@ def assemble_G_original(
     """Turn-by-turn conductance ``G_kl = x^T M^(kl) x`` as the direct quadrature sum
     ``sum_e 2 pi area_e sum_q w_q sigma phi_k phi_l x_q^2 / r_q`` over the winding."""
     tag = RegionTag.FOIL_WINDING
-    elements, r, _, w_eff, scale = conduction_quadrature(mesh, materials, disc, tag)
+    elements, r, w_eff, scale = conduction_quadrature(mesh, materials, disc, tag)
     nodal = np.where(disc.dof_index >= 0, np.asarray(x)[disc.dof_index], 0.0)
-    x_q = nodal[mesh.triangles[elements]] @ QUADRATURE_RULES[disc.quad_degree][0].T
+    x_q = nodal[mesh.triangles[elements]] @ QUADRATURE_RULE[0].T
     phi = np.stack([basis.eval(l, spec.alpha_normalized(r)) for l in range(basis.n_functions)])
     g = np.einsum("kmq,lmq,mq->kl", phi, phi, scale[:, None] * w_eff * x_q**2)
     return 0.5 * (g + g.T)
@@ -278,9 +282,7 @@ def assemble_G_exact(spec: FoilWindingSpec, basis: VoltageBasis) -> np.ndarray:
     ``sigma_beta`` is the homogenized conductivity along the foils and ``H``
     the winding height.
     """
-    sigma_beta = homogenize_materials(
-        spec.fill_factor, spec.sigma_c, 0.0, 1.0 / MU0, 1.0 / MU0
-    ).sigma[1]
+    sigma_beta = homogenize_materials(spec.fill_factor, spec.sigma_c).sigma[1]
     n_pieces = max(basis.n_functions - 1, 1) if basis.family == "hat" else 1
     kinks = np.linspace(-1.0, 1.0, n_pieces + 1)
     nodes, weights = np.polynomial.legendre.leggauss(_EXACT_G_GAUSS_POINTS)

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dgemm, dgemv
 from scipy.linalg.lapack import dlange
 
-from foilfem.assembly import QUADRATURE_RULES, TWO_PI
+from foilfem.assembly import QUADRATURE_RULE, TWO_PI, FieldDiscretization
 from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
 from foilfem.dae_analysis import KERNEL_TOL
 from foilfem.errors import SingularMatrixError, SingularSystemAtStepError
@@ -48,6 +48,12 @@ from foilfem.winding import (
     profile_for,
     solid_from_foil,
 )
+
+
+def all_free(mesh):
+    """The discretization of ``mesh`` with no node constrained, every node a DoF."""
+    dof = np.arange(mesh.n_nodes)
+    return replace(FieldDiscretization.from_mesh(mesh), dof_index=dof, n_dofs=mesh.n_nodes)
 
 
 def brute_force_li_bonds(net, field_classes=None):
@@ -120,12 +126,45 @@ def _loop_append(rows, cols, vals, element_matrix, idx):
     vals.append(sub.ravel())
 
 
-def loop_element_geometry(mesh, degree):
+# Barycentric rules of other degrees for the quadrature cross-checks; weights sum to 1.
+_RULE_DEGREE2 = (
+    np.array(
+        [
+            [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
+            [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
+            [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
+        ]
+    ),
+    np.full(3, 1.0 / 3.0),
+)
+
+_W3, _A3 = 0.132394152788506, 0.470142064105115
+_W4, _A4 = 0.125939180544827, 0.101286507323456
+_RULE_DEGREE5 = (
+    np.array(
+        [
+            [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+            [1.0 - 2.0 * _A3, _A3, _A3],
+            [_A3, 1.0 - 2.0 * _A3, _A3],
+            [_A3, _A3, 1.0 - 2.0 * _A3],
+            [1.0 - 2.0 * _A4, _A4, _A4],
+            [_A4, 1.0 - 2.0 * _A4, _A4],
+            [_A4, _A4, 1.0 - 2.0 * _A4],
+        ]
+    ),
+    np.array([0.225, _W3, _W3, _W3, _W4, _W4, _W4]),
+)
+
+# by polynomial degree; degree 4 is the package's own rule
+QUADRATURE_RULES = {2: _RULE_DEGREE2, 4: QUADRATURE_RULE, 5: _RULE_DEGREE5}
+
+
+def loop_element_geometry(mesh, degree=4):
     """Areas, P1 hat gradients (d/dr, d/dz) and quadrature points, one element at a time.
 
-    Returns ``(area, grad_r, grad_z, bary, weights, pts)`` with ``pts`` of
-    shape ``(m, q, 2)``; each point is ``sum_a bary[q, a] * node_a`` summed
-    left to right.
+    Returns ``(area, grad_r, grad_z, bary, weights, pts)`` for the rule of
+    ``degree`` with ``pts`` of shape ``(m, q, 2)``; each point is
+    ``sum_a bary[q, a] * node_a`` summed left to right.
     """
     bary, weights = QUADRATURE_RULES[degree]
     m = mesh.n_triangles
@@ -145,7 +184,7 @@ def loop_element_geometry(mesh, degree):
 
 
 def loop_assemble_stiffness(mesh, materials, disc):
-    area, grad_r, grad_z, _, weights, pts = loop_element_geometry(mesh, disc.quad_degree)
+    area, grad_r, grad_z, _, weights, pts = loop_element_geometry(mesh)
     inv_r = np.einsum("q,mq->m", weights, 1.0 / pts[:, :, 0])
     rows, cols, vals = [], [], []
     for e in range(mesh.n_triangles):
@@ -156,8 +195,10 @@ def loop_assemble_stiffness(mesh, materials, disc):
     return _loop_accumulate(rows, cols, vals, disc.n_dofs)
 
 
-def loop_mass_like(mesh, materials, disc, element_filter, profile):
-    area, _, _, bary, weights, pts = loop_element_geometry(mesh, disc.quad_degree)
+def loop_mass_like(mesh, materials, disc, element_filter, profile, degree=4):
+    """Conduction mass weighted by ``profile(r)`` (None for 1) over the elements whose tag
+    ``element_filter`` accepts, with the rule of ``degree``."""
+    area, _, _, bary, weights, pts = loop_element_geometry(mesh, degree)
     hat_products = bary[:, :, None] * bary[:, None, :]
     rows, cols, vals = [], [], []
     for e in range(mesh.n_triangles):
@@ -170,7 +211,7 @@ def loop_mass_like(mesh, materials, disc, element_filter, profile):
         r_q = pts[e, :, 0]
         w_eff = weights * sigma_axial / r_q
         if profile is not None:
-            w_eff = w_eff * profile(r_q, pts[e, :, 1])
+            w_eff = w_eff * profile(r_q)
         me = (TWO_PI * area[e]) * np.tensordot(w_eff, hat_products, axes=1)
         _loop_append(rows, cols, vals, me, disc.dof_index[mesh.triangles[e]])
     return _loop_accumulate(rows, cols, vals, disc.n_dofs)
@@ -202,9 +243,7 @@ def loop_assemble_G_original(mesh, materials, disc, spec, basis, x=None):
     for k in range(n):
         for l in range(k, n):
             pk, pl = profile_for(spec, basis, k), profile_for(spec, basis, l)
-            m_kl = loop_mass_like(
-                mesh, materials, disc, _is_winding, lambda r, z: pk(r, z) * pl(r, z)
-            )
+            m_kl = loop_mass_like(mesh, materials, disc, _is_winding, lambda r: pk(r) * pl(r))
             g[k, l] = g[l, k] = float(x @ (m_kl @ x))
     return g
 
@@ -348,7 +387,7 @@ def loop_integrate(
 ):
     """Return the ``TimeSeries`` and the stacked snapshots (None when not taken)."""
     n_steps = cfg.n_steps
-    times = cfg.t0 + cfg.dt * np.arange(n_steps + 1)
+    times = cfg.dt * np.arange(n_steps + 1)
     if probe_names is None:
         probe_names = list(dae.probes)
     try:
@@ -366,7 +405,7 @@ def loop_integrate(
         if y.shape[0] != dae.E.shape[0]:
             raise ValueError("initial state has wrong length")
     else:
-        y = consistent_zero_start(dae, cfg.t0)
+        y = consistent_zero_start(dae)
 
     currents = {name: np.empty(n_steps + 1) for name in probe_names}
     voltages = {name: np.empty(n_steps + 1) for name in probe_names}

@@ -119,7 +119,7 @@ def test_criterion_1_solid_equivalence(coarse_mesh, device_parts):
         "FW1 1 0 FILE <mem> MODE SOLID"
     )
     dae = mna_stamp(net, field_systems={"<mem>": solid})
-    series_solid = integrate(dae, StepperConfig(t0=0.0, t_end=steps * dt, dt=dt), probe_names=["FW1"])
+    series_solid = integrate(dae, StepperConfig(t_end=steps * dt, dt=dt), probe_names=["FW1"])
     i_foil = series_foil.currents["FW1"]
     i_solid = series_solid.currents["FW1"]
     scale = np.max(np.abs(i_solid))
@@ -343,7 +343,7 @@ def test_criterion_7_lumped_inductor_analytics():
     dts = (1e-3, 5e-4, 2.5e-4)
     for dt in dts:
         net = parse_netlist(f"V1 1 0 SIN 1 50\nL1 1 0 {l_val!r}")
-        series = integrate(mna_stamp(net), StepperConfig(t0=0.0, t_end=0.02, dt=dt))
+        series = integrate(mna_stamp(net), StepperConfig(t_end=0.02, dt=dt))
         exact = lumped_inductor_voltage_driven(l_val, 0.0, wf, series.times)
         errors.append(float(np.max(np.abs(series.currents["L1"] - exact))))
     orders = [
@@ -355,7 +355,7 @@ def test_criterion_7_lumped_inductor_analytics():
     eps, dt = 1e-3, 1e-4
     f_eps = 2 * math.pi * 1e10
     net = parse_netlist(f"I1 1 0 PSIN 1 50 {eps!r} {f_eps!r}\nL1 0 1 {l_val!r}")
-    series = integrate(mna_stamp(net), StepperConfig(t0=0.0, t_end=0.022, dt=dt))
+    series = integrate(mna_stamp(net), StepperConfig(t_end=0.022, dt=dt))
     metric = noise_metric(series.times, series.voltages["L1"], 50.0)
     bound = l_val * 2 * eps / dt
     noise_ok = bound / 3.0 <= metric.noise_rms <= 3.0 * bound

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from foilfem.assembly import (
-    QUADRATURE_RULES,
+    QUADRATURE_RULE,
     FieldDiscretization,
     MaterialSpec,
     RegionMaterial,
@@ -16,6 +16,7 @@ from foilfem.assembly import (
 from foilfem.experiments import ExperimentConfig, build_mesh
 from foilfem.linalg import max_abs, sparse_factorize
 from foilfem.mesh import Mesh, RegionTag, rectangle_mesh, refine_uniform
+from oracles import all_free, loop_mass_like
 
 R_FAR = 1.0e4  # radial offset that makes the axisymmetric weights quasi-planar
 
@@ -28,10 +29,6 @@ def far_square(h=1.0, tag=RegionTag.AIR):
 
 def materials_for(tag, sigma=0.0, nu=1.0):
     return MaterialSpec({int(tag): RegionMaterial.isotropic(sigma, nu)})
-
-
-def all_free(mesh, quad_degree=4):
-    return FieldDiscretization.from_mesh(mesh, fix_boundary=False, quad_degree=quad_degree)
 
 
 # hand-assembled P1 Laplacian on the unit square split along the (0,0)-(1,1) diagonal,
@@ -152,7 +149,7 @@ class TestMass:
         mesh = far_square(h=0.5)
         disc = all_free(mesh)
         m = assemble_mass(mesh, materials_for(RegionTag.AIR, sigma=3.0), disc)
-        bary, weights = QUADRATURE_RULES[disc.quad_degree]
+        bary, weights = QUADRATURE_RULE
         total = 0.0
         areas = mesh.triangle_areas()
         for e in range(mesh.n_triangles):
@@ -185,23 +182,26 @@ class TestModifiedMass:
         disc = all_free(mesh)
         mats = materials_for(RegionTag.FOIL_WINDING, sigma=2.0)
         m = assemble_mass(mesh, mats, disc)
-        m1 = assemble_modified_mass(mesh, mats, disc, lambda r, z: np.ones_like(r))
+        m1 = assemble_modified_mass(mesh, mats, disc, lambda r: np.ones_like(r))
         assert max_abs(m - m1) == 0.0
 
     def test_zero_profile_gives_zero(self):
         mesh = far_square(h=0.5, tag=RegionTag.FOIL_WINDING)
         mats = materials_for(RegionTag.FOIL_WINDING, sigma=2.0)
-        m0 = assemble_modified_mass(mesh, mats, all_free(mesh), lambda r, z: np.zeros_like(r))
+        m0 = assemble_modified_mass(mesh, mats, all_free(mesh), lambda r: np.zeros_like(r))
         assert m0.nnz == 0
 
     def test_linear_profile_quadrature_cross_check(self):
         # a higher-order rule is the oracle: entries must agree to 1e-10
         mesh = far_square(h=0.5, tag=RegionTag.FOIL_WINDING)
         mats = materials_for(RegionTag.FOIL_WINDING, sigma=2.0)
-        profile = lambda r, z: 2.0 * (r - (R_FAR + 0.5))
-        default = assemble_modified_mass(mesh, mats, all_free(mesh, quad_degree=4), profile)
-        oracle = assemble_modified_mass(mesh, mats, all_free(mesh, quad_degree=5), profile)
-        low = assemble_modified_mass(mesh, mats, all_free(mesh, quad_degree=2), profile)
+        disc = all_free(mesh)
+        profile = lambda r: 2.0 * (r - (R_FAR + 0.5))
+        default = assemble_modified_mass(mesh, mats, disc, profile)
+        oracle, low = (
+            loop_mass_like(mesh, mats, disc, lambda tag: True, profile, degree=degree)
+            for degree in (5, 2)
+        )
         assert max_abs(low - oracle) > 1e-10 * max_abs(oracle)  # the oracle has teeth
         assert max_abs(default - oracle) <= 1e-10 * max_abs(oracle)
 
@@ -209,8 +209,8 @@ class TestModifiedMass:
         mesh = far_square(h=0.5, tag=RegionTag.FOIL_WINDING)
         mats = materials_for(RegionTag.FOIL_WINDING, sigma=2.0)
         disc = all_free(mesh)
-        pk = lambda r, z: r - R_FAR
-        pl = lambda r, z: (r - R_FAR) ** 2 - 0.3
+        pk = lambda r: r - R_FAR
+        pl = lambda r: (r - R_FAR) ** 2 - 0.3
         a = assemble_double_modified_mass(mesh, mats, disc, pk, pl)
         b = assemble_double_modified_mass(mesh, mats, disc, pl, pk)
         assert max_abs(a - b) == 0.0
@@ -220,7 +220,7 @@ class TestModifiedMass:
         mesh = far_square(h=0.5, tag=RegionTag.FOIL_WINDING)
         mats = materials_for(RegionTag.FOIL_WINDING, sigma=2.0)
         disc = all_free(mesh)
-        one = lambda r, z: np.ones_like(r)
+        one = lambda r: np.ones_like(r)
         m = assemble_mass(mesh, mats, disc)
         mkl = assemble_double_modified_mass(mesh, mats, disc, one, one)
         assert max_abs(m - mkl) == 0.0

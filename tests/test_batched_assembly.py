@@ -194,7 +194,7 @@ class TestEdgeCases:
         mats = MaterialSpec({int(RegionTag.AIR): RegionMaterial.isotropic(2.0, 1.0)})
         x = np.ones(disc.n_dofs)
 
-        def profile(r, z):
+        def profile(r):
             return r - 1.5
 
         def is_winding(tag):

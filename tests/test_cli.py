@@ -324,8 +324,12 @@ class TestProgramErrors:
             ("yoke_permeability", "-5", "yoke_permeability must be positive, got -5.0"),
             ("yoke_permeability", "0", "yoke_permeability must be positive, got 0.0"),
             ("yoke_conductivity", "-1", "yoke_conductivity must be nonnegative, got -1.0"),
-            ("winding_conductivity", "-6e7",
-             "winding_conductivity must be nonnegative, got -60000000.0"),
+            ("winding_conductivity", "-6e7", "winding_conductivity must be positive, got -60000000.0"),
+            # a winding that does not conduct has X = 0 whatever the mesh and n_basis
+            ("winding_conductivity", "0", "winding_conductivity must be positive, got 0.0"),
+            ("fill_factor", "2", "fill_factor must be in (0, 1], got 2.0"),
+            ("fill_factor", "0", "fill_factor must be in (0, 1], got 0.0"),
+            ("n_turns", "-50", "n_turns must be at least 1, got -50"),
             ("amplitude", "-inf", "amplitude must be finite, got -inf"),
         ],
     )

@@ -63,11 +63,11 @@ class TestScalarOde:
     # dy/dt = 1 - y from y0 = 0: y = 1 - z, where z decays from 1 exactly as
     # dz/dt = -z does, so implicit Euler gives y_n = 1 - (1/(1 + dt))^n
     def test_single_implicit_euler_step(self):
-        series = integrate(scalar_system(-1.0), StepperConfig(t0=0.0, t_end=0.5, dt=0.5))
+        series = integrate(scalar_system(-1.0), StepperConfig(t_end=0.5, dt=0.5))
         assert series.currents["y"][1] == pytest.approx(1.0 / 3.0)
 
     def test_decay_matches_closed_form_rate(self):
-        series = integrate(scalar_system(-1.0), StepperConfig(t0=0.0, t_end=1.0, dt=0.01))
+        series = integrate(scalar_system(-1.0), StepperConfig(t_end=1.0, dt=0.01))
         assert series.currents["y"][-1] == pytest.approx(1.0 - (1 / 1.01) ** 100)
 
 
@@ -75,17 +75,17 @@ class TestZeroStart:
     def test_sine_sources_accepted(self):
         net = parse_netlist("V1 1 0 SIN 1 50\nL1 1 0 1e-3")
         dae = mna_stamp(net)
-        y0 = consistent_zero_start(dae, 0.0)
+        y0 = consistent_zero_start(dae)
         assert np.all(y0 == 0.0)
 
     def test_perturbed_sine_accepted(self):
         net = parse_netlist("V1 1 0 PSIN 1 50 1e-3 6.2832e10\nL1 1 0 1e-3")
-        assert np.all(consistent_zero_start(mna_stamp(net), 0.0) == 0.0)
+        assert np.all(consistent_zero_start(mna_stamp(net)) == 0.0)
 
     def test_dc_source_rejected(self):
         net = parse_netlist("V1 1 0 DC 5\nR1 1 0 2")
         with pytest.raises(InconsistentInitialStateError):
-            consistent_zero_start(mna_stamp(net), 0.0)
+            consistent_zero_start(mna_stamp(net))
 
 
 class TestLumpedInductorRuns:
@@ -96,7 +96,7 @@ class TestLumpedInductorRuns:
         errors = []
         dts = (1e-3, 5e-4, 2.5e-4)
         for dt in dts:
-            series = integrate(dae, StepperConfig(t0=0.0, t_end=0.02, dt=dt))
+            series = integrate(dae, StepperConfig(t_end=0.02, dt=dt))
             exact = lumped_inductor_voltage_driven(1e-3, 0.0, wf, series.times)
             errors.append(float(np.max(np.abs(series.currents["L1"] - exact))))
         orders = [
@@ -111,7 +111,7 @@ class TestLumpedInductorRuns:
         f_eps = 2 * math.pi * 1e10  # aliases to a fast pseudo-random sampled tone
         net = parse_netlist(f"I1 1 0 PSIN 1 50 {eps} {f_eps!r}\nL1 0 1 {l_val}")
         dae = mna_stamp(net)
-        series = integrate(dae, StepperConfig(t0=0.0, t_end=0.022, dt=dt))
+        series = integrate(dae, StepperConfig(t_end=0.022, dt=dt))
         v = series.voltages["L1"]
         t = series.times
         # remove the smooth 50 Hz response, leaving the backward-difference noise
@@ -129,7 +129,7 @@ class TestLumpedInductorRuns:
         net = parse_netlist(f"V1 1 0 SIN 1 {f}\nR1 1 2 {r_val}\nL1 2 0 {l_val}")
         dae = mna_stamp(net)
         dt = 1e-5
-        series = integrate(dae, StepperConfig(t0=0.0, t_end=0.02, dt=dt))
+        series = integrate(dae, StepperConfig(t_end=0.02, dt=dt))
         w = 2 * np.pi * f
         z2 = r_val**2 + (w * l_val) ** 2
         t = series.times
@@ -148,7 +148,7 @@ class TestFoilPowerBalance:
         mesh = build_mesh(cfg, 0)
         system, _, _ = build_system(cfg, mesh)
         dae = winding_dae(cfg, system, "v", "Ge")
-        stepper = StepperConfig(t0=0.0, t_end=cfg.duration, dt=cfg.dt)
+        stepper = StepperConfig(t_end=cfg.duration, dt=cfg.dt)
         series, states = loop_integrate(dae, stepper, probe_names=["FW1"], snapshot_stride=1)
         # the full states come from the loop-form oracle, whose FW1 traces are integrate's
         # up to round-off
@@ -174,21 +174,21 @@ class TestDivergenceHandling:
     def test_unstable_system_returns_partial_series(self):
         # dy/dt = 100 y + 1 from y0 = 0; implicit Euler at dt = 0.015 amplifies
         # by 1/(1 - 1.5) = -2 per step
-        series = integrate(scalar_system(100.0), StepperConfig(t0=0.0, t_end=9.0, dt=0.015))
+        series = integrate(scalar_system(100.0), StepperConfig(t_end=9.0, dt=0.015))
         assert series.diverged_at is not None
         assert len(series.times) == series.diverged_at + 1
         assert np.all(np.isfinite(series.times))
 
     def test_nan_state_marks_divergence(self):
         dae = replace(scalar_system(-1.0), source_rows=((0, SourceWaveform("dc", math.nan), 1.0),))
-        series = integrate(dae, StepperConfig(t0=0.0, t_end=1.0, dt=0.1))
+        series = integrate(dae, StepperConfig(t_end=1.0, dt=0.1))
         assert series.diverged_at == 1
         assert len(series.times) == 2 and math.isnan(series.currents["y"][1])
 
     def test_determinism(self):
         net = parse_netlist("V1 1 0 PSIN 1 50 1e-3 6.2832e10\nL1 1 0 1e-3")
         dae = mna_stamp(net)
-        cfg = StepperConfig(t0=0.0, t_end=0.01, dt=1e-4)
+        cfg = StepperConfig(t_end=0.01, dt=1e-4)
         s1 = integrate(dae, cfg)
         s2 = integrate(dae, cfg)
         assert np.array_equal(s1.currents["L1"], s2.currents["L1"])
@@ -196,7 +196,7 @@ class TestDivergenceHandling:
 
     def test_step_guard(self):
         with pytest.raises(ValidationError):
-            StepperConfig(t0=0.0, t_end=1.0, dt=1e-9)
+            StepperConfig(t_end=1.0, dt=1e-9)
 
     @pytest.mark.parametrize(
         "t_end, dt, key",
@@ -217,7 +217,7 @@ class TestDivergenceHandling:
     )
     def test_bad_time_grid_names_the_key(self, t_end, dt, key):
         with pytest.raises(ValidationError) as info:
-            StepperConfig(t0=0.0, t_end=t_end, dt=dt)
+            StepperConfig(t_end=t_end, dt=dt)
         assert info.value.key == key
 
     def test_singular_iteration_matrix_is_named(self):
@@ -225,7 +225,7 @@ class TestDivergenceHandling:
         probe = Probe(kind="L", pos_index=-1, neg_index=-1, current_index=0, value=1.0)
         dae = DAESystem(E=zero, A=zero, source_rows=(), layout={}, probes={"y": probe})
         with pytest.raises(SingularSystemAtStepError, match="iteration matrix singular"):
-            integrate(dae, StepperConfig(t0=0.0, t_end=1.0, dt=0.1))
+            integrate(dae, StepperConfig(t_end=1.0, dt=0.1))
 
 
 def assert_same_series(series, expected):
@@ -280,7 +280,7 @@ class TestDivergenceAtBlockEdges:
     def test_cut_matches_the_loop(self, rate, n_steps, diverged_at):
         assert (BLOCK_STEPS, BLAS_ROWS) == (16, 32)  # the cases sit at these edges
         dae = scalar_system(rate)
-        cfg = StepperConfig(t0=0.0, t_end=float(n_steps), dt=1.0)
+        cfg = StepperConfig(t_end=float(n_steps), dt=1.0)
         series = integrate(dae, cfg)
         expected, _ = loop_integrate(dae, cfg)
         assert expected.diverged_at == diverged_at
@@ -291,7 +291,7 @@ class TestDivergenceAtBlockEdges:
         # y_1 = 1e307 / (1 - 0.99) overflows to inf, and so does every later state of the
         # chunk; the block products that carry it raise no warning
         dae = replace(scalar_system(0.99), source_rows=((0, SourceWaveform("dc", 1e307), 1.0),))
-        series = integrate(dae, StepperConfig(t0=0.0, t_end=100.0, dt=1.0))
+        series = integrate(dae, StepperConfig(t_end=100.0, dt=1.0))
         assert series.diverged_at == 1
         assert len(series.times) == 2 and math.isinf(series.currents["y"][1])
 
@@ -359,7 +359,7 @@ class TestBoundCertificate:
         spike = BLOWUP_BOUND / 10.5
         assert 10.5 * spike > BLOWUP_BOUND
         dae = scaled_spike_system(10.5, {step: spike})
-        cfg = StepperConfig(t0=0.0, t_end=600.0, dt=1.0)
+        cfg = StepperConfig(t_end=600.0, dt=1.0)
         series = integrate(dae, cfg)
         expected, _ = loop_integrate(dae, cfg)
         assert expected.diverged_at == step
@@ -370,7 +370,7 @@ class TestBoundCertificate:
     ):
         # y1 = 0.945 BLOWUP_BOUND at steps 3 and 600, in the first and second chunks of three
         dae = scaled_spike_system(10.5, {3: 0.09 * BLOWUP_BOUND, 600: -0.09 * BLOWUP_BOUND})
-        cfg = StepperConfig(t0=0.0, t_end=1100.0, dt=1.0)
+        cfg = StepperConfig(t_end=1100.0, dt=1.0)
         series = integrate(dae, cfg)
         expected, _ = loop_integrate(dae, cfg)
         assert expected.diverged_at is None
@@ -390,7 +390,7 @@ class TestBoundCertificate:
         # of the second chunk's block 5, steps 593-608.  Only the second chunk steps with the
         # solve, whichever of its steps the spike is at.
         dae = scaled_spike_system(10.5, {step: 0.09 * BLOWUP_BOUND})
-        cfg = StepperConfig(t0=0.0, t_end=1100.0, dt=1.0)
+        cfg = StepperConfig(t_end=1100.0, dt=1.0)
         series = integrate(dae, cfg)
         expected, _ = loop_integrate(dae, cfg)
         assert series.diverged_at is None
@@ -409,7 +409,7 @@ class TestBoundCertificate:
             layout={},
             probes={"y": probe},
         )
-        cfg = StepperConfig(t0=0.0, t_end=20.0, dt=1.0)
+        cfg = StepperConfig(t_end=20.0, dt=1.0)
         series = integrate(dae, cfg)
         expected, _ = loop_integrate(dae, cfg, per_step_solve=True)
         assert series.diverged_at is None
@@ -482,7 +482,7 @@ class TestLoopOracle:
     def test_every_probe_matches_the_loop(self, case):
         make_dae, dt, probe_names = ORACLE_CASES[case]
         dae = make_dae()
-        cfg = StepperConfig(t0=0.0, t_end=22.0e-3, dt=dt)
+        cfg = StepperConfig(t_end=22.0e-3, dt=dt)
         series = integrate(dae, cfg, probe_names)
         assert list(series.currents) == (list(dae.probes) if probe_names is None else probe_names)
         if case.endswith("diverges"):
@@ -505,7 +505,7 @@ class TestLoopOracle:
 
         monkeypatch.setattr(DAESystem, "source", counted)
         make_dae, dt, probe_names = ORACLE_CASES["lumped-i-two-sources-one-node"]
-        series = integrate(make_dae(), StepperConfig(t0=0.0, t_end=22.0e-3, dt=dt), probe_names)
+        series = integrate(make_dae(), StepperConfig(t_end=22.0e-3, dt=dt), probe_names)
         assert len(series.times) == 221
         assert len(calls) <= 1
 
@@ -612,7 +612,7 @@ class TestPropagator:
         # round-off most, to 1e-9 of a trace's largest value
         dae = foil_dae(drive, mode, basis_family, level=level)
         assert dae.E.shape[0] <= PROPAGATOR_MAX_ROWS
-        cfg = StepperConfig(t0=0.0, t_end=22.0e-3, dt=dt)
+        cfg = StepperConfig(t_end=22.0e-3, dt=dt)
         series = integrate(dae, cfg)
         expected, _ = loop_integrate(dae, cfg, per_step_solve=True)
         assert series.diverged_at is None and expected.diverged_at is None
@@ -623,7 +623,7 @@ class TestPropagator:
     def test_large_system_keeps_the_per_step_solve_bit_for_bit(self):
         dae = foil_dae("i", "Ge", level=2)
         assert dae.E.shape[0] > PROPAGATOR_MAX_ROWS
-        cfg = StepperConfig(t0=0.0, t_end=2.0e-4, dt=1e-5)
+        cfg = StepperConfig(t_end=2.0e-4, dt=1e-5)
         expected, _ = loop_integrate(dae, cfg, per_step_solve=True)
         assert_same_series(integrate(dae, cfg), expected)
 
@@ -645,7 +645,7 @@ class TestPropagator:
         dae = foil_dae("i", mode, basis_family, exact_g=mode == "G")
         radius = spectral_radius(dae, dt)
         assert radius == pytest.approx(rho, abs=1e-6)
-        series = integrate(dae, StepperConfig(t0=0.0, t_end=n_steps * dt, dt=dt))
+        series = integrate(dae, StepperConfig(t_end=n_steps * dt, dt=dt))
         assert series.diverged_at == diverged_at
         assert (radius > 1.0) == (series.diverged_at is not None)
 
@@ -665,7 +665,7 @@ class TestPropagator:
         self, drive, mode, basis_family, dt, diverged_at, dgemm_widths, vector_solves
     ):
         dae = foil_dae(drive, mode, basis_family, exact_g=diverged_at is not None)
-        series = integrate(dae, StepperConfig(t0=0.0, t_end=22.0e-3, dt=dt))
+        series = integrate(dae, StepperConfig(t_end=22.0e-3, dt=dt))
         assert series.diverged_at == diverged_at
         assert (BLOCK_STEPS - 1) * dae.E.shape[0] not in dgemm_widths
         assert len(vector_solves) == (0 if diverged_at is None else 220)
