@@ -23,7 +23,9 @@ the axis anyway).
 The element data that depends only on the mesh (triangle areas and
 quadrature-point radii) is computed once per discretization, in
 :meth:`FieldDiscretization.from_mesh`, and every kernel indexes into it; the
-arrays are bit-identical to computing them afresh in each kernel.
+arrays are bit-identical to computing them afresh in each kernel.  The
+conduction term's data is formed once per build, with one conductivity lookup,
+by :meth:`Conduction.of`; a region's is a row subset of it.
 
 Assembly is batched over elements and bit-identical to a per-element loop
 (the reference forms are in ``tests/oracles.py``): element matrices come from
@@ -78,25 +80,25 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class RegionMaterial:
-    """Anisotropic material pair per region: (radial, axial) components.
+    """Material of one region.
 
-    ``sigma`` is the conductivity pair in S/m; only the azimuthal component
-    (equal to the axial pair entry by the mixing rule) drives eddy currents in
-    this formulation.  ``nu`` is the reluctivity pair in m/H.
+    ``sigma`` is the azimuthal conductivity in S/m, the only component that
+    drives eddy currents in this formulation; ``nu`` is the (radial, axial)
+    reluctivity pair in m/H.
     """
 
-    sigma: tuple = (0.0, 0.0)
+    sigma: float = 0.0
     nu: tuple = (1.0, 1.0)
 
     def __post_init__(self):
-        if min(self.sigma) < 0.0:
+        if self.sigma < 0.0:
             raise ValueError("conductivity must be nonnegative")
         if min(self.nu) <= 0.0:
             raise ValueError("reluctivity must be strictly positive")
 
     @classmethod
     def isotropic(cls, sigma: float, nu: float) -> "RegionMaterial":
-        return cls(sigma=(sigma, sigma), nu=(nu, nu))
+        return cls(sigma=sigma, nu=(nu, nu))
 
 
 @dataclass(frozen=True)
@@ -220,58 +222,53 @@ def assemble_stiffness(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretiz
 
 def conductivities(mesh: Mesh, materials: MaterialSpec) -> np.ndarray:
     """The azimuthal conductivity of every element."""
-    return _per_element(mesh.regions, materials, lambda mat: mat.sigma[1])
+    return _per_element(mesh.regions, materials, lambda mat: mat.sigma)
 
 
-def conduction_quadrature(
-    mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization, tag: int | None = None
-):
-    """Quadrature data of the conductive elements, of region ``tag`` or of all regions.
+@dataclass(frozen=True)
+class Conduction:
+    """Quadrature data of a set of conductive elements.
 
-    Returns ``(elements, r, w_eff, scale)``: the element indices, the ``(m, q)``
-    quadrature radii, ``w_eff = w_q * sigma / r_q`` and ``scale = 2*pi*area``.
-    An element's mass entry weighted by ``profile`` is
-    ``scale * sum_q w_eff * profile(r) * N_a * N_b``.
+    ``elements`` holds the element indices, ``r`` their ``(m, q)`` quadrature radii,
+    ``w_eff = w_q * sigma / r_q`` and ``scale = 2*pi*area``.  An element's mass
+    entry weighted by the per-point factors ``f`` is
+    ``scale * sum_q w_eff * f * N_a * N_b``.
     """
-    sigma = conductivities(mesh, materials)
-    chosen = sigma != 0.0 if tag is None else (sigma != 0.0) & (mesh.regions == tag)
-    elements = np.flatnonzero(chosen)
-    r = disc.quad_r[elements]
-    scale = TWO_PI * disc.areas[elements]
-    return elements, r, QUADRATURE_RULE[1] * sigma[elements][:, None] / r, scale
+
+    elements: np.ndarray
+    r: np.ndarray
+    w_eff: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def of(cls, mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization) -> "Conduction":
+        """Every element of nonzero conductivity."""
+        sigma = conductivities(mesh, materials)
+        elements = np.flatnonzero(sigma != 0.0)
+        r = disc.quad_r[elements]
+        w_eff = QUADRATURE_RULE[1] * sigma[elements][:, None] / r
+        return cls(elements, r, w_eff, TWO_PI * disc.areas[elements])
+
+    def region(self, mesh: Mesh, tag: int) -> "Conduction":
+        """The elements of region ``tag``, a row subset."""
+        keep = mesh.regions[self.elements] == tag
+        return Conduction(self.elements[keep], self.r[keep], self.w_eff[keep], self.scale[keep])
+
+    def masses(self, mesh: Mesh, disc: FieldDiscretization, factors=None) -> sp.csr_matrix:
+        """The conduction mass over these elements, or with ``factors``, an
+        ``(n, m, q)`` array of per-point weights, its ``n`` weighted blocks stacked
+        vertically into one ``(n * n_dofs, n_dofs)`` matrix."""
+        bary = QUADRATURE_RULE[0]
+        hat_products = (bary[:, :, None] * bary[:, None, :]).reshape(-1, 9)
+        w = self.w_eff[None] if factors is None else self.w_eff * factors
+        vals = np.matmul(w[..., None, :], hat_products)[..., 0, :]
+        vals *= self.scale[:, None]
+        return _scatter(disc.dof_index[mesh.triangles[self.elements]], vals, disc.n_dofs)
 
 
-def _mass_like(mesh, materials, disc, tag, profiles) -> sp.csr_matrix:
-    """Shared kernel: one (profile-weighted) conduction mass block per profile."""
-    elements, r, w_eff, scale = conduction_quadrature(mesh, materials, disc, tag)
-    bary = QUADRATURE_RULE[0]
-    hat_products = (bary[:, :, None] * bary[:, None, :]).reshape(-1, 9)
-    vals = np.empty((len(profiles), elements.size, 9))
-    for k, profile in enumerate(profiles):
-        w = w_eff if profile is None else w_eff * profile(r)
-        vals[k] = np.matmul(w[..., None, :], hat_products)[:, 0]
-    vals *= scale[:, None]
-    return _scatter(disc.dof_index[mesh.triangles[elements]], vals, disc.n_dofs)
-
-
-def assemble_mass(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization) -> sp.csr_matrix:
-    """Conduction mass matrix over all conductive regions."""
-    return _mass_like(mesh, materials, disc, None, [None])
-
-
-def assemble_profile_masses(
-    mesh: Mesh,
-    materials: MaterialSpec,
-    disc: FieldDiscretization,
-    profiles,
-) -> sp.csr_matrix:
-    """Winding mass matrices weighted by each profile, stacked vertically.
-
-    Returns one ``(len(profiles) * n_dofs, n_dofs)`` CSR matrix.  Every
-    ``profile(r)`` is evaluated on the ``(m, q)`` array of quadrature radii
-    of the winding-tagged elements, the only elements visited.
-    """
-    return _mass_like(mesh, materials, disc, int(RegionTag.FOIL_WINDING), profiles)
+def assemble_mass(mesh: Mesh, disc: FieldDiscretization, conduction: Conduction) -> sp.csr_matrix:
+    """Conduction mass matrix over the elements of ``conduction``."""
+    return conduction.masses(mesh, disc)
 
 
 def assemble_modified_mass(
@@ -280,8 +277,9 @@ def assemble_modified_mass(
     disc: FieldDiscretization,
     profile: Callable[[np.ndarray], np.ndarray],
 ) -> sp.csr_matrix:
-    """Mass matrix weighted by one voltage-basis profile."""
-    return assemble_profile_masses(mesh, materials, disc, [profile])
+    """Winding mass matrix weighted by one voltage-basis profile ``profile(r)``."""
+    winding = Conduction.of(mesh, materials, disc).region(mesh, RegionTag.FOIL_WINDING)
+    return winding.masses(mesh, disc, profile(winding.r)[None])
 
 
 def assemble_double_modified_mass(
@@ -291,5 +289,5 @@ def assemble_double_modified_mass(
     profile_k: Callable[[np.ndarray], np.ndarray],
     profile_l: Callable[[np.ndarray], np.ndarray],
 ) -> sp.csr_matrix:
-    """Mass matrix weighted by a product of two voltage-basis profiles."""
-    return assemble_profile_masses(mesh, materials, disc, [lambda r: profile_k(r) * profile_l(r)])
+    """Winding mass matrix weighted by a product of two voltage-basis profiles."""
+    return assemble_modified_mass(mesh, materials, disc, lambda r: profile_k(r) * profile_l(r))

@@ -239,6 +239,23 @@ def _union(nodes, pairs):
     return find
 
 
+def _li_contraction(netlist: Netlist, field_classes) -> tuple:
+    """Contract every branch that is neither inductive nor a current source.
+
+    Returns the sorted supernodes, ground's supernode and each LI branch as
+    ``(name, supernode+, supernode-)``.  A parsed netlist is connected, so an
+    LI-cutset exists exactly when more than one supernode is left.
+    """
+    kinds = _effective_kinds(netlist, field_classes)
+    is_li = {b.name: kinds[b.name] in ("L", "I") for b in netlist.branches}
+    all_nodes = ["0", *netlist.nodes]
+    contracted = [(b.node_pos, b.node_neg) for b in netlist.branches if not is_li[b.name]]
+    find = _union(all_nodes, contracted)
+    li_edges = [(b.name, find(b.node_pos), find(b.node_neg))
+                for b in netlist.branches if is_li[b.name]]
+    return sorted({find(n) for n in all_nodes}), find("0"), li_edges
+
+
 def detect_li_cutsets(netlist: Netlist, field_classes: Mapping | None = None) -> list:
     """Minimal cutsets consisting only of inductive branches and current sources.
 
@@ -246,20 +263,12 @@ def detect_li_cutsets(netlist: Netlist, field_classes: Mapping | None = None) ->
     contracted multigraph that separates some supernode set from ground is a
     cutset of the original circuit.
     """
-    kinds = _effective_kinds(netlist, field_classes)
-    is_li = {b.name: kinds[b.name] in ("L", "I") for b in netlist.branches}
-    all_nodes = ["0", *netlist.nodes]
-    contracted = [(b.node_pos, b.node_neg) for b in netlist.branches if not is_li[b.name]]
-    find = _union(all_nodes, contracted)
-    comps = sorted({find(n) for n in all_nodes})
+    comps, ground, li_edges = _li_contraction(netlist, field_classes)
     if len(comps) == 1:
         return []
-    others = [c for c in comps if c != find("0")]
+    others = [c for c in comps if c != ground]
     if len(others) > 16:
         raise ValidationError("cutset enumeration limited to desk-scale netlists")
-    # each LI branch as (name, supernode+, supernode-)
-    li_edges = [(b.name, find(b.node_pos), find(b.node_neg))
-                for b in netlist.branches if is_li[b.name]]
     cutsets = []
     seen = set()
     for size in range(1, len(others) + 1):
@@ -324,10 +333,11 @@ def _find_path(start, goal, branches):
 
 
 def predict_index(netlist: Netlist, field_classes: Mapping | None = None) -> int:
-    """Differential index of the MNA system: 2 on LI-cutsets or CV-loops, else 1."""
-    if detect_li_cutsets(netlist, field_classes):
-        return 2
-    if detect_cv_loops(netlist, field_classes):
+    """Differential index of the MNA system: 2 on LI-cutsets or CV-loops, else 1.
+
+    Whether an LI-cutset exists is read off the contraction, at any netlist size.
+    """
+    if len(_li_contraction(netlist, field_classes)[0]) > 1 or detect_cv_loops(netlist, field_classes):
         return 2
     return 1
 

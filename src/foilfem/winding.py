@@ -16,9 +16,9 @@ alternative), giving the coupling column block ``X``, the turn-count vector
   - exact (:func:`assemble_G_exact`): the paper's integral along the stack,
     free of the FE mesh; ``fig5`` runs it as the original variant;
   - quadrature-consistent (:func:`assemble_G_original`, the ``G`` of
-    :class:`AssembledFoilSystem`): the double-profile-weighted mass matrices
-    contracted with ``x``, on the quadrature of ``M`` and ``X``; the
-    classification, the netlist ``MODE G`` and the PSD checks use it;
+    :class:`AssembledFoilSystem`): ``x^T M^(kl) x`` summed directly over the
+    quadrature points of ``M`` and ``X``; the classification, the netlist
+    ``MODE G`` and the PSD checks use it;
 
 * ``G_e`` from the source-field coefficients ``e_l`` solving
   ``M e_l = M^(l) x`` on the conductive support, i.e. the mass pseudo-inverse
@@ -29,27 +29,29 @@ projection residuals, hence positive semidefinite on every mesh, shrinking
 under refinement.  With the exact ``G`` it can be indefinite on a coarse mesh
 (the circuit inconsistency that ``G_e`` removes); the quadrature form converges
 to the exact one under refinement.
+
+:func:`assemble_foil_system` derives the conduction data once: one
+:class:`~foilfem.assembly.Conduction` of the conductive elements gives ``M``
+and the conductive support, and its winding rows, with the voltage basis
+evaluated once on their quadrature radii, give ``X`` and ``G``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (
     QUADRATURE_RULE,
+    Conduction,
     FieldDiscretization,
     MaterialSpec,
     RegionMaterial,
     assemble_mass,
-    assemble_profile_masses,
     assemble_stiffness,
-    conduction_quadrature,
-    conductivities,
 )
 from .errors import EmptyWindingError, ValidationError
 from .linalg import RestrictedSpdSolver, canonical_csr, max_abs, rank
@@ -123,7 +125,7 @@ def homogenize_materials(fill_factor, sigma_c) -> RegionMaterial:
     sigma_beta = lam * sigma_c
     nu_alpha = lam * nu0 + (1.0 - lam) * nu0
     nu_beta = 1.0 / (lam / nu0 + (1.0 - lam) / nu0)
-    return RegionMaterial(sigma=(0.0, sigma_beta), nu=(nu_alpha, nu_beta))
+    return RegionMaterial(sigma=sigma_beta, nu=(nu_alpha, nu_beta))
 
 
 def device_materials(spec: FoilWindingSpec, yoke_sigma: float, yoke_mu_r: float) -> MaterialSpec:
@@ -174,6 +176,10 @@ class VoltageBasis:
         h = nodes[1] - nodes[0]
         return np.clip(1.0 - np.abs(alpha - nodes[l]) / h, 0.0, None)
 
+    def values(self, alpha) -> np.ndarray:
+        """Every basis function at normalized coordinate(s), stacked on a new first axis."""
+        return np.stack([self.eval(l, alpha) for l in range(self.n_functions)])
+
     def integrals(self) -> np.ndarray:
         """Exact integrals over [-1, 1] of every basis function."""
         if self.family == "legendre":
@@ -186,15 +192,6 @@ class VoltageBasis:
         out = np.full(self.n_functions, h)
         out[0] = out[-1] = 0.5 * h
         return out
-
-
-def profile_for(spec: FoilWindingSpec, basis: VoltageBasis, l: int) -> Callable:
-    """Voltage basis function ``l`` as a function of the radius over the winding."""
-
-    def profile(r):
-        return basis.eval(l, spec.alpha_normalized(r))
-
-    return profile
 
 
 def _marked_nodes(mesh: Mesh, elements: np.ndarray) -> np.ndarray:
@@ -226,10 +223,9 @@ def distribution_coefficients(mesh: Mesh, disc: FieldDiscretization) -> np.ndarr
     return x
 
 
-def conductive_support(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretization) -> np.ndarray:
-    """DoF indices adjacent to at least one conductive element."""
-    conductive = conductivities(mesh, materials) != 0.0
-    dofs = disc.dof_index[_marked_nodes(mesh, conductive)]  # ascending: DoFs follow node order
+def conductive_support(mesh: Mesh, disc: FieldDiscretization, conduction: Conduction) -> np.ndarray:
+    """DoF indices adjacent to at least one element of ``conduction``."""
+    dofs = disc.dof_index[_marked_nodes(mesh, conduction.elements)]  # ascending: node order
     return dofs[dofs >= 0].astype(np.intp, copy=False)
 
 
@@ -239,36 +235,22 @@ def assemble_c(n_turns: int, basis: VoltageBasis) -> np.ndarray:
 
 
 def assemble_X(
-    mesh: Mesh,
-    materials: MaterialSpec,
-    disc: FieldDiscretization,
-    spec: FoilWindingSpec,
-    basis: VoltageBasis,
-    x: np.ndarray,
+    mesh: Mesh, disc: FieldDiscretization, winding: Conduction, phi: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """Coupling block: column ``l`` is ``M^(l) x``, one matvec on the stacked ``M^(l)``."""
-    n = basis.n_functions
-    profiles = [profile_for(spec, basis, l) for l in range(n)]
-    stacked = assemble_profile_masses(mesh, materials, disc, profiles)
-    return np.ascontiguousarray((stacked @ x).reshape(n, disc.n_dofs).T)
+    """Coupling block: column ``l`` is ``M^(l) x``, one matvec on the stacked ``M^(l)``,
+    the winding masses weighted by the ``(n, m, q)`` basis values ``phi``."""
+    stacked = winding.masses(mesh, disc, phi)
+    return np.ascontiguousarray((stacked @ x).reshape(len(phi), disc.n_dofs).T)
 
 
 def assemble_G_original(
-    mesh: Mesh,
-    materials: MaterialSpec,
-    disc: FieldDiscretization,
-    spec: FoilWindingSpec,
-    basis: VoltageBasis,
-    x: np.ndarray,
+    mesh: Mesh, disc: FieldDiscretization, winding: Conduction, phi: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """Turn-by-turn conductance ``G_kl = x^T M^(kl) x`` as the direct quadrature sum
     ``sum_e 2 pi area_e sum_q w_q sigma phi_k phi_l x_q^2 / r_q`` over the winding."""
-    tag = RegionTag.FOIL_WINDING
-    elements, r, w_eff, scale = conduction_quadrature(mesh, materials, disc, tag)
     nodal = np.where(disc.dof_index >= 0, np.asarray(x)[disc.dof_index], 0.0)
-    x_q = nodal[mesh.triangles[elements]] @ QUADRATURE_RULE[0].T
-    phi = np.stack([basis.eval(l, spec.alpha_normalized(r)) for l in range(basis.n_functions)])
-    g = np.einsum("kmq,lmq,mq->kl", phi, phi, scale[:, None] * w_eff * x_q**2)
+    x_q = nodal[mesh.triangles[winding.elements]] @ QUADRATURE_RULE[0].T
+    g = np.einsum("kmq,lmq,mq->kl", phi, phi, winding.scale[:, None] * winding.w_eff * x_q**2)
     return 0.5 * (g + g.T)
 
 
@@ -282,7 +264,7 @@ def assemble_G_exact(spec: FoilWindingSpec, basis: VoltageBasis) -> np.ndarray:
     ``sigma_beta`` is the homogenized conductivity along the foils and ``H``
     the winding height.
     """
-    sigma_beta = homogenize_materials(spec.fill_factor, spec.sigma_c).sigma[1]
+    sigma_beta = homogenize_materials(spec.fill_factor, spec.sigma_c).sigma
     n_pieces = max(basis.n_functions - 1, 1) if basis.family == "hat" else 1
     kinks = np.linspace(-1.0, 1.0, n_pieces + 1)
     nodes, weights = np.polynomial.legendre.leggauss(_EXACT_G_GAUSS_POINTS)
@@ -290,7 +272,7 @@ def assemble_G_exact(spec: FoilWindingSpec, basis: VoltageBasis) -> np.ndarray:
     alpha = (0.5 * (kinks[:-1] + kinks[1:])[:, None] + half * nodes).ravel()
     r = spec.mid_radius + 0.5 * spec.radial_extent * alpha
     w = (half * weights).ravel() * (0.5 * spec.radial_extent) / r
-    phi = np.stack([basis.eval(l, alpha) for l in range(basis.n_functions)])
+    phi = basis.values(alpha)
     g = (sigma_beta * spec.height / TWO_PI) * ((phi * w) @ phi.T)
     return 0.5 * (g + g.T)
 
@@ -352,9 +334,14 @@ def assemble_foil_system(
     singular, and every transient and classification with it fails.
     """
     k = assemble_stiffness(mesh, materials, disc)
-    m = assemble_mass(mesh, materials, disc)
+    conduction = Conduction.of(mesh, materials, disc)
+    m = assemble_mass(mesh, disc, conduction)
+    support = conductive_support(mesh, disc, conduction)
+    winding = conduction.region(mesh, RegionTag.FOIL_WINDING)
+    del conduction  # X's assembly is the build's memory peak; it reads only the winding
+    phi = basis.values(spec.alpha_normalized(winding.r))
     x = distribution_coefficients(mesh, disc)
-    big_x = assemble_X(mesh, materials, disc, spec, basis, x)
+    big_x = assemble_X(mesh, disc, winding, phi, x)
     resolved = rank(big_x, 1e-10)  # the tolerance of the classify report's rank(X)
     if resolved < basis.n_functions:
         raise ValidationError(
@@ -364,8 +351,7 @@ def assemble_foil_system(
             key="n_basis",
         )
     c = assemble_c(spec.n_turns, basis)
-    g = assemble_G_original(mesh, materials, disc, spec, basis, x)
-    support = conductive_support(mesh, materials, disc)
+    g = assemble_G_original(mesh, disc, winding, phi, x)
     ge, e = assemble_G_consistent(m, big_x, support)
     return AssembledFoilSystem(K=k, M=m, X=big_x, G=g, G_e=ge, c=c, x=x, E=e, support=support)
 
@@ -390,7 +376,7 @@ def build_solid_system(
     """Solid-conductor reduction of the winding region: ``x_sol = M x`` and
     scalar ``G_sol = x^T M x``."""
     k = assemble_stiffness(mesh, materials, disc)
-    m = assemble_mass(mesh, materials, disc)
+    m = assemble_mass(mesh, disc, Conduction.of(mesh, materials, disc))
     x = distribution_coefficients(mesh, disc)
     x_sol = m @ x
     return SolidSystem(K=k, M=m, x_sol=x_sol, G_sol=float(x @ x_sol))

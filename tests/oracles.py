@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dgemm, dgemv
 from scipy.linalg.lapack import dlange
 
-from foilfem.assembly import QUADRATURE_RULE, TWO_PI, FieldDiscretization
+from foilfem.assembly import QUADRATURE_RULE, TWO_PI, Conduction, FieldDiscretization
 from foilfem.circuit import DAESystem, Netlist, Probe, _effective_kinds
 from foilfem.dae_analysis import KERNEL_TOL
 from foilfem.errors import SingularMatrixError, SingularSystemAtStepError
@@ -45,7 +45,6 @@ from foilfem.winding import (
     assemble_G_exact,
     distribution_coefficients,
     load_system,
-    profile_for,
     solid_from_foil,
 )
 
@@ -54,6 +53,13 @@ def all_free(mesh):
     """The discretization of ``mesh`` with no node constrained, every node a DoF."""
     dof = np.arange(mesh.n_nodes)
     return replace(FieldDiscretization.from_mesh(mesh), dof_index=dof, n_dofs=mesh.n_nodes)
+
+
+def winding_blocks(mesh, materials, disc, spec, basis):
+    """The winding's conduction data and the basis values on its quadrature radii, the
+    arguments ``assemble_foil_system`` hands ``assemble_X`` and ``assemble_G_original``."""
+    winding = Conduction.of(mesh, materials, disc).region(mesh, RegionTag.FOIL_WINDING)
+    return winding, basis.values(spec.alpha_normalized(winding.r))
 
 
 def brute_force_li_bonds(net, field_classes=None):
@@ -205,7 +211,7 @@ def loop_mass_like(mesh, materials, disc, element_filter, profile, degree=4):
         tag = int(mesh.regions[e])
         if not element_filter(tag):
             continue
-        sigma_axial = materials.material(tag).sigma[1]
+        sigma_axial = materials.material(tag).sigma
         if sigma_axial == 0.0:
             continue
         r_q = pts[e, :, 0]
@@ -225,12 +231,17 @@ def _is_winding(tag):
     return tag == int(RegionTag.FOIL_WINDING)
 
 
+def _profile(spec, basis, l):
+    """Voltage basis function ``l`` as a function of the radius."""
+    return lambda r: basis.eval(l, spec.alpha_normalized(r))
+
+
 def loop_assemble_X(mesh, materials, disc, spec, basis, x=None):
     if x is None:
         x = distribution_coefficients(mesh, disc)
     cols = []
     for l in range(basis.n_functions):
-        m_l = loop_mass_like(mesh, materials, disc, _is_winding, profile_for(spec, basis, l))
+        m_l = loop_mass_like(mesh, materials, disc, _is_winding, _profile(spec, basis, l))
         cols.append(m_l @ x)
     return np.column_stack(cols)
 
@@ -242,7 +253,7 @@ def loop_assemble_G_original(mesh, materials, disc, spec, basis, x=None):
     g = np.zeros((n, n))
     for k in range(n):
         for l in range(k, n):
-            pk, pl = profile_for(spec, basis, k), profile_for(spec, basis, l)
+            pk, pl = _profile(spec, basis, k), _profile(spec, basis, l)
             m_kl = loop_mass_like(mesh, materials, disc, _is_winding, lambda r: pk(r) * pl(r))
             g[k, l] = g[l, k] = float(x @ (m_kl @ x))
     return g
@@ -251,7 +262,7 @@ def loop_assemble_G_original(mesh, materials, disc, spec, basis, x=None):
 def loop_conductive_support(mesh, materials, disc):
     nodes = set()
     for e in range(mesh.n_triangles):
-        if materials.material(mesh.regions[e]).sigma[1] > 0.0:
+        if materials.material(mesh.regions[e]).sigma > 0.0:
             nodes.update(int(n) for n in mesh.triangles[e])
     dofs = disc.dof_index[sorted(nodes)]
     return np.asarray(sorted(int(d) for d in dofs if d >= 0), dtype=np.intp)

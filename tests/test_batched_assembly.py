@@ -21,9 +21,11 @@ from oracles import (
     loop_refine_uniform,
     loop_tensor_mesh,
     scalar_region_of,
+    winding_blocks,
 )
 
 from foilfem.assembly import (
+    Conduction,
     FieldDiscretization,
     MaterialSpec,
     RegionMaterial,
@@ -173,19 +175,21 @@ class TestEdgeCases:
     def test_zero_conductivity(self, built):
         mesh, _, disc, spec, basis = _inputs(built)
         insulating = MaterialSpec({int(t): RegionMaterial.isotropic(0.0, 1.0) for t in RegionTag})
-        m = assemble_mass(mesh, insulating, disc)
+        conduction = Conduction.of(mesh, insulating, disc)
+        m = assemble_mass(mesh, disc, conduction)
         assert m.nnz == 0
         assert_same_csr(m, loop_assemble_mass(mesh, insulating, disc))
         assert_identical(
-            conductive_support(mesh, insulating, disc),
+            conductive_support(mesh, disc, conduction),
             loop_conductive_support(mesh, insulating, disc),
         )
         x = distribution_coefficients(mesh, disc)
+        winding, phi = winding_blocks(mesh, insulating, disc, spec, basis)
         assert_identical(
-            assemble_X(mesh, insulating, disc, spec, basis, x),
+            assemble_X(mesh, disc, winding, phi, x),
             loop_assemble_X(mesh, insulating, disc, spec, basis, x),
         )
-        assert not np.any(assemble_G_original(mesh, insulating, disc, spec, basis, x))
+        assert not np.any(assemble_G_original(mesh, disc, winding, phi, x))
 
     def test_empty_winding(self, built):
         _, _, _, spec, basis = _inputs(built)
@@ -204,11 +208,12 @@ class TestEdgeCases:
             assemble_modified_mass(mesh, mats, disc, profile),
             loop_mass_like(mesh, mats, disc, is_winding, profile),
         )
+        winding, phi = winding_blocks(mesh, mats, disc, spec, basis)
         assert_identical(
-            assemble_X(mesh, mats, disc, spec, basis, x),
+            assemble_X(mesh, disc, winding, phi, x),
             loop_assemble_X(mesh, mats, disc, spec, basis, x),
         )
-        assert not np.any(assemble_G_original(mesh, mats, disc, spec, basis, x))
+        assert not np.any(assemble_G_original(mesh, disc, winding, phi, x))
 
 
 def test_solid_stamp_couples_x_sol_both_ways():

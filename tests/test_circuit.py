@@ -1,6 +1,7 @@
 """Netlist parsing, topology analysis, MNA stamping and inductor analytics."""
 
 import math
+from collections import Counter
 from functools import cache
 from itertools import product
 
@@ -243,6 +244,24 @@ class TestPredictIndex:
         fw = parse_netlist("I1 1 0 SIN 1 50\nFW1 1 0 FILE s.npz MODE Ge")
         lumped = parse_netlist("I1 1 0 SIN 1 50\nL1 1 0 1e-3")
         assert predict_index(fw, INDUCTIVE) == predict_index(lumped)
+
+    def test_inductor_chain_beyond_cutset_enumeration(self):
+        # V1 and R1 join nodes 1 and 21 to ground, leaving 19 supernodes besides ground's,
+        # more than detect_li_cutsets enumerates; the cut around any inner node is two inductors
+        lines = ["V1 1 0 SIN 1 50", *(f"L{k} {k} {k + 1} 1e-3" for k in range(1, 21)), "R1 21 0 5"]
+        net = parse_netlist("\n".join(lines))
+        with pytest.raises(ValidationError, match="desk-scale"):
+            detect_li_cutsets(net)
+        assert predict_index(net) == 2
+
+    def test_matches_the_detectors_on_random_netlists(self):
+        seen = Counter()
+        for seed in range(200):
+            net = parse_netlist(random_lumped_netlist(seed))
+            cutsets, loops = bool(detect_li_cutsets(net)), bool(detect_cv_loops(net))
+            assert predict_index(net) == (2 if cutsets or loops else 1), seed
+            seen[cutsets, loops] += 1
+        assert len(seen) == 4  # every combination of the two detectors occurs
 
 
 class TestMnaStamp:

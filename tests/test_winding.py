@@ -1,18 +1,34 @@
 """Foil-winding homogenization, coupling blocks and conductance variants."""
 
 import math
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from foilfem.assembly import QUADRATURE_RULE, FieldDiscretization, MaterialSpec
+import foilfem.assembly as assembly
+from foilfem.assembly import (
+    QUADRATURE_RULE,
+    Conduction,
+    FieldDiscretization,
+    MaterialSpec,
+    assemble_mass,
+)
 from foilfem.circuit import mna_stamp, parse_netlist
 from foilfem.errors import ValidationError
-from foilfem.experiments import ExperimentConfig, build_geometry, build_mesh, build_winding_spec
+from foilfem.experiments import (
+    ExperimentConfig,
+    build_geometry,
+    build_mesh,
+    build_system,
+    build_winding_spec,
+)
 from foilfem.linalg import max_abs, rank
 from foilfem.mesh import RegionTag, rectangle_mesh, refine_uniform
 from foilfem.winding import (
+    BASIS_FAMILIES,
     MODES,
     MU0,
     FoilWindingSpec,
@@ -32,7 +48,7 @@ from foilfem.winding import (
     save_system,
     solid_from_foil,
 )
-from oracles import all_free
+from oracles import all_free, winding_blocks
 
 CFG = ExperimentConfig()
 GEOM = build_geometry(CFG)
@@ -75,19 +91,18 @@ def coarse_system(coarse_setup):
 class TestHomogenization:
     def test_mixing_rule_reference_values(self):
         mat = homogenize_materials(0.8, 6.0e7)
-        assert mat.sigma[0] == 0.0
-        assert mat.sigma[1] == pytest.approx(4.8e7)
+        assert mat.sigma == pytest.approx(4.8e7)
 
     def test_vacuum_insulation_keeps_the_vacuum_reluctivity(self):
         nu0 = 1.0 / MU0
         mat = homogenize_materials(0.37, 1.0)
-        assert mat.sigma[1] == pytest.approx(0.37)
+        assert mat.sigma == pytest.approx(0.37)
         assert mat.nu[0] == pytest.approx(nu0)
         assert mat.nu[1] == pytest.approx(nu0)
 
     def test_full_fill_degenerate(self):
         mat = homogenize_materials(1.0, 7.0)
-        assert mat.sigma[1] == 7.0
+        assert mat.sigma == 7.0
         assert mat.nu[0] == pytest.approx(1.0 / MU0)
         assert mat.nu[1] == pytest.approx(1.0 / MU0)
 
@@ -168,10 +183,8 @@ class TestCouplingBlocks:
     def test_X_equals_mass_times_x_for_constant_basis(self, coarse_setup):
         mesh, disc, mats = coarse_setup
         x = distribution_coefficients(mesh, disc)
-        from foilfem.assembly import assemble_mass
-
-        m = assemble_mass(mesh, mats, disc)
-        big_x = assemble_X(mesh, mats, disc, SPEC, VoltageBasis(1), x)
+        m = assemble_mass(mesh, disc, Conduction.of(mesh, mats, disc))
+        big_x = assemble_X(mesh, disc, *winding_blocks(mesh, mats, disc, SPEC, VoltageBasis(1)), x)
         ref = m @ x
         assert np.max(np.abs(big_x[:, 0] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -205,10 +218,10 @@ class TestCouplingBlocks:
         mesh, disc, mats = toy_setup(h=0.5)
         basis = VoltageBasis(3)
         x = distribution_coefficients(mesh, disc)
-        g = assemble_G_original(mesh, mats, disc, TOY_SPEC, basis, x)
+        g = assemble_G_original(mesh, disc, *winding_blocks(mesh, mats, disc, TOY_SPEC, basis), x)
         # independent oracle: loop quadrature points directly
         bary, weights = QUADRATURE_RULE
-        sigma = mats.material(int(RegionTag.FOIL_WINDING)).sigma[1]
+        sigma = mats.material(int(RegionTag.FOIL_WINDING)).sigma
         zeta = 1.0 / (2.0 * math.pi)
         areas = mesh.triangle_areas()
         oracle = np.zeros((3, 3))
@@ -225,20 +238,11 @@ class TestCouplingBlocks:
 
     def test_G_basis_permutation(self):
         mesh, disc, mats = toy_setup(h=0.5)
-
-        class Permuted:
-            def __init__(self, base, perm):
-                self.base, self.perm = base, perm
-                self.n_functions = base.n_functions
-
-            def eval(self, l, alpha):
-                return self.base.eval(self.perm[l], alpha)
-
-        base = VoltageBasis(3)
+        winding, phi = winding_blocks(mesh, mats, disc, TOY_SPEC, VoltageBasis(3))
         perm = [2, 0, 1]
         x = distribution_coefficients(mesh, disc)
-        g = assemble_G_original(mesh, mats, disc, TOY_SPEC, base, x)
-        gp = assemble_G_original(mesh, mats, disc, TOY_SPEC, Permuted(base, perm), x)
+        g = assemble_G_original(mesh, disc, winding, phi, x)
+        gp = assemble_G_original(mesh, disc, winding, phi[perm], x)
         assert np.array_equal(gp, g[np.ix_(perm, perm)])
 
     def test_Ge_scalar_toy(self):
@@ -257,11 +261,10 @@ class TestCouplingBlocks:
         mesh, disc, mats = toy_setup(h=0.5)
         basis = VoltageBasis(3)
         x = distribution_coefficients(mesh, disc)
-        big_x = assemble_X(mesh, mats, disc, TOY_SPEC, basis, x)
-        from foilfem.assembly import assemble_mass
-
-        m_csr = assemble_mass(mesh, mats, disc)
-        ge, _ = assemble_G_consistent(m_csr, big_x, conductive_support(mesh, mats, disc))
+        big_x = assemble_X(mesh, disc, *winding_blocks(mesh, mats, disc, TOY_SPEC, basis), x)
+        conduction = Conduction.of(mesh, mats, disc)
+        m_csr = assemble_mass(mesh, disc, conduction)
+        ge, _ = assemble_G_consistent(m_csr, big_x, conductive_support(mesh, disc, conduction))
         m = m_csr.toarray()
         w, v = np.linalg.eigh(m)
         inv = np.where(w > 1e-12 * w.max(), 1.0 / np.where(w == 0, 1.0, w), 0.0)
@@ -287,7 +290,7 @@ class TestCouplingBlocks:
 
 class TestExactConductance:
     def test_single_function_matches_closed_form(self):
-        sigma_beta = homogenize_materials(SPEC.fill_factor, SPEC.sigma_c).sigma[1]
+        sigma_beta = homogenize_materials(SPEC.fill_factor, SPEC.sigma_c).sigma
         log_ratio = math.log(GEOM.winding_outer_radius / SPEC.inner_radius)
         closed = sigma_beta * SPEC.height * log_ratio / (2.0 * math.pi)
         for family in ("legendre", "hat"):
@@ -307,7 +310,7 @@ class TestExactConductance:
 
         basis = VoltageBasis(5, family=family)
         g = assemble_G_exact(SPEC, basis)
-        sigma_beta = homogenize_materials(SPEC.fill_factor, SPEC.sigma_c).sigma[1]
+        sigma_beta = homogenize_materials(SPEC.fill_factor, SPEC.sigma_c).sigma
         half_extent = 0.5 * SPEC.radial_extent
         kinks = SPEC.mid_radius + half_extent * np.linspace(-1.0, 1.0, basis.n_functions)
         for k in range(basis.n_functions):
@@ -342,13 +345,38 @@ class TestExactConductance:
         for _ in range(3):
             disc = FieldDiscretization.from_mesh(mesh)
             x = distribution_coefficients(mesh, disc)
-            g = assemble_G_original(mesh, mats, disc, SPEC, basis, x)
+            g = assemble_G_original(mesh, disc, *winding_blocks(mesh, mats, disc, SPEC, basis), x)
             errors.append(float(np.linalg.norm(g - exact) / np.linalg.norm(exact)))
             mesh = refine_uniform(mesh)
         # measured: hat 0.13, 2.4e-6, 4.0e-8; legendre 3.4e-2, 8.4e-4, 1.5e-5
         assert errors[1] <= errors[0] / 10.0
         assert errors[2] <= errors[1] / 10.0
         assert errors[2] <= 1e-4
+
+
+class TestOneConductionPass:
+    @pytest.mark.parametrize("family", BASIS_FAMILIES)
+    def test_a_build_looks_up_the_conductivities_once_and_each_basis_function_once(
+        self, family, monkeypatch
+    ):
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        # wrapped wherever a foilfem module binds it, so that no import bypasses the count
+        lookup = assembly.conductivities
+        for name, module in list(sys.modules.items()):
+            if name.startswith("foilfem") and vars(module).get("conductivities") is lookup:
+                monkeypatch.setattr(module, "conductivities", counted("lookup", lookup))
+        monkeypatch.setattr(VoltageBasis, "eval", counted("eval", VoltageBasis.eval))
+        cfg = replace(ExperimentConfig(), basis_family=family)
+        _, _, basis = build_system(cfg, build_mesh(cfg, 0))
+        assert calls == {"lookup": 1, "eval": basis.n_functions}
 
 
 class TestSolidReduction:
