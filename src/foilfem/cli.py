@@ -15,7 +15,8 @@ Every subcommand takes ``--config <path>``, a flat ``key = value`` file, and
 reads (``SUBCOMMAND_FLAGS``); a flag overrides the file, the file the command's
 default config.  A usage error exits with status 2, a rejected input or an
 unreadable or unwritable file with a one-line ``foilfem: error:`` message and
-status 1.  ``simulate``, ``fig4`` and ``fig5`` print their study's report.
+status 1.  One handler serves the five report commands: it prints the report
+that each one's study writes to ``--out`` as ``<prefix>_metrics.txt``.
 """
 
 from __future__ import annotations
@@ -121,19 +122,10 @@ def cmd_assemble(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    sys.stdout.write(run_classify(_config_from(args)))
-    return 0
-
-
 def cmd_study(args) -> int:
-    run = {"simulate": run_simulate, "fig4": run_fig4, "fig5": run_fig5}[args.command]
+    run = {"classify": run_classify, "simulate": run_simulate, "fig4": run_fig4, "fig5": run_fig5,
+           "demo-inductor": demo_inductor}[args.command]
     sys.stdout.write(run(_config_from(args), out_dir=Path(args.out))["report"])
-    return 0
-
-
-def cmd_demo_inductor(args) -> int:
-    sys.stdout.write(demo_inductor(_config_from(args)))
     return 0
 
 
@@ -147,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = {
         "mesh": (cmd_mesh, "generate, refine or inspect meshes"),
         "assemble": (cmd_assemble, "assemble and save the coupled system"),
-        "classify": (cmd_classify, "element classification report"),
+        "classify": (cmd_study, "element classification report"),
         "simulate": (cmd_study, "one transient run"),
         "fig4": (cmd_study, "perturbation-sensitivity study"),
         "fig5": (
@@ -157,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
             "hat basis family, whose profiles are not exactly representable on the "
             "mesh, so the coarse run with G diverges",
         ),
-        "demo-inductor": (cmd_demo_inductor, "lumped-inductor analytics"),
+        "demo-inductor": (cmd_study, "lumped-inductor analytics"),
     }
     subparsers = {}
     for name, (func, help_text) in commands.items():

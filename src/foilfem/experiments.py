@@ -9,9 +9,9 @@ the sampling rate, so the perturbation acts as a deterministic sampled noise
 floor; this is intentional and drives the sensitivity studies.
 
 All experiment commands are pure functions of the configuration, so reruns
-produce bit-identical CSV and SVG output.  A study reads each run's trace with
-:func:`response`, writes its files with :func:`emit_study` and returns its
-report text, which the command line prints.
+produce bit-identical CSV and SVG output.  Every report command is a study: it
+writes its files and its report with :func:`emit_study`, the one writer of a
+report, and returns a dict whose ``"report"`` the command line prints.
 """
 
 from __future__ import annotations
@@ -498,8 +498,9 @@ def run_fig5(cfg: ExperimentConfig, out_dir) -> dict:
     return results
 
 
-def run_classify(cfg: ExperimentConfig) -> str:
-    """Classification report for both conductance variants plus a refinement trend."""
+def run_classify(cfg: ExperimentConfig, out_dir) -> dict:
+    """Classification report for both conductance variants plus a refinement trend.  Writes
+    it to ``out_dir`` as ``classify_metrics.txt`` and returns it as ``results["report"]``."""
     mesh = build_mesh(cfg)
     system, _, _ = build_system(cfg, mesh)
     lines = [f"mesh level {cfg.mesh_level}: {mesh.n_nodes} nodes, basis {cfg.basis_family}"]
@@ -517,11 +518,14 @@ def run_classify(cfg: ExperimentConfig) -> str:
             f"refine x{level}: nodes = {mesh.n_nodes}, frob(G - Ge) = {measure.frob_diff:.6e}, "
             f"rank(X) = {rank(system.X, 1e-10)}"
         )
-    return "\n".join(lines) + "\n"
+    report = "\n".join(lines) + "\n"
+    emit_study(out_dir, "classify", {}, {}, report)
+    return {"report": report}
 
 
-def demo_inductor(cfg: ExperimentConfig) -> str:
-    """Lumped-inductor demonstrations: convergence order and noise amplification."""
+def demo_inductor(cfg: ExperimentConfig, out_dir) -> dict:
+    """Lumped-inductor demonstrations: convergence order and noise amplification.  Writes the
+    report as ``demo_inductor_metrics.txt`` to ``out_dir``; returns it as ``results["report"]``."""
     noise_grid = noise_fit_grid(cfg, cfg.dt)
     l_val = 1.0e-3
     net = parse_netlist(f"V1 1 0 SIN {cfg.amplitude!r} {cfg.frequency!r}\nL1 1 0 {l_val!r}")
@@ -537,7 +541,7 @@ def demo_inductor(cfg: ExperimentConfig) -> str:
         lines.append(f"  dt = {dt:.2e}: max error = {err:.6e}")
     for k in range(len(dts) - 1):
         order = math.log(errors[k] / errors[k + 1]) / math.log(dts[k] / dts[k + 1])
-        lines.append(f"  observed order ({dts[k]:.0e} -> {dts[k+1]:.0e}) = {order:.3f}")
+        lines.append(f"  observed order ({dts[k]:.2e} -> {dts[k+1]:.2e}) = {order:.3f}")
     net = parse_netlist(f"{source_line(cfg, 'i')}\nL1 0 1 {l_val!r}")
     series = integrate(mna_stamp(net), noise_grid)
     metric = noise_metric(series.times, series.voltages["L1"], cfg.frequency)
@@ -546,7 +550,9 @@ def demo_inductor(cfg: ExperimentConfig) -> str:
     lines.append(f"  backward-difference noise bound = {bound:.6e} V")
     lines.append(f"  measured noise RMS = {metric.noise_rms:.6e} V")
     lines.append(f"  rms / bound = {metric.noise_rms / bound:.3f}")
-    return "\n".join(lines) + "\n"
+    report = "\n".join(lines) + "\n"
+    emit_study(out_dir, "demo_inductor", {}, {}, report)
+    return {"report": report}
 
 
 def emit_csv(path, series: TimeSeries, probe: str) -> None:

@@ -120,7 +120,7 @@ def sparse_factorize(a) -> Factorization:
     pivots = np.abs(lu.U.diagonal())
     if pivots.size and pivots.min() < PIVOT_RTOL * scale:
         raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.1e} * max|A| = {PIVOT_RTOL * scale:.3e}"
+            f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.1e} * max|entry| = {PIVOT_RTOL * scale:.3e}"
         )
     return Factorization(lu, n_rows)
 

@@ -208,7 +208,9 @@ def integrate(dae: DAESystem, cfg: StepperConfig, probe_names=None) -> TimeSerie
     try:
         lhs = sparse_factorize(e_over_dt + dae.A)
     except SingularMatrixError as exc:
-        raise SingularSystemAtStepError(f"iteration matrix singular: {exc}") from exc
+        raise SingularSystemAtStepError(
+            f"iteration matrix singular: E/dt + A at dt = {cfg.dt!r}: {exc}"
+        ) from exc
 
     # the state entries the probes read; ground (-1) reads the last column, which stays 0
     entries = {i for p in probes.values() for i in (p.pos_index, p.neg_index, p.current_index)}

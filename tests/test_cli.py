@@ -54,6 +54,14 @@ ACCEPTED = {
     ("fig5",): {"--duration", "--basis"},
     ("demo-inductor",): {"--dt", "--duration"},
 }
+# each report command at small settings
+REPORT_COMMANDS = {
+    "classify": ["classify", "--mesh-level", "0", "--basis", "hat"],
+    "simulate": ["simulate", "--duration", "2e-3"],
+    "fig4": ["fig4", "--duration", "5e-3"],
+    "fig5": ["fig5", "--duration", "5e-3"],
+    "demo-inductor": ["demo-inductor", "--duration", "2e-3"],
+}
 TABLE = [(command, flag, flag in accepted) for command, accepted in ACCEPTED.items()
          for flag in FLAG_VALUES]
 
@@ -380,7 +388,8 @@ class TestProgramErrors:
     def test_config_comment_may_hold_utf8(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_bytes("# foil pitch 0.28 mm, h = 8 \u00b5m\nmesh_level = 0\n".encode("utf-8"))
-        assert "mesh level 0" in run_cli(capsys, "classify", "--config", str(cfg_path))
+        out = run_cli(capsys, "classify", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+        assert "mesh level 0" in out
 
     @pytest.mark.parametrize(
         "command, dt, message",
@@ -399,6 +408,17 @@ class TestProgramErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"foilfem: error: {message}\n"
+
+    def test_singular_iteration_matrix_names_dt(self, tmp_path, capsys):
+        # at this step size E/dt + A of the current-driven level-0 run has a pivot below the
+        # factorization's relative bound
+        out = tmp_path / "out"
+        assert main(["simulate", "--drive", "i", "--dt", "2e-8", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("foilfem: error: ") and captured.err.count("\n") == 1
+        assert "E/dt + A" in captured.err and "dt = 2e-08" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -508,12 +528,25 @@ class TestStudyCommands:
         assert calls == [("hat", tmp_path)]
         assert not list(tmp_path.iterdir())  # the command itself writes and reads no file
 
+    @pytest.mark.parametrize("argv", list(REPORT_COMMANDS.values()), ids=list(REPORT_COMMANDS))
+    def test_report_is_the_metrics_file_and_a_rerun_writes_the_same_bytes(
+        self, argv, tmp_path, capsys
+    ):
+        written = []
+        for run in ("a", "b"):
+            out = run_cli(capsys, *argv, "--out", str(tmp_path / run))
+            metrics = tmp_path / run / f"{argv[0].replace('-', '_')}_metrics.txt"
+            assert metrics.read_bytes() == out.encode("ascii")
+            written.append({p.name: p.read_bytes() for p in sorted((tmp_path / run).iterdir())})
+        assert written[0] == written[1]
+
 
 class TestReportCommands:
-    def test_classify_runs(self, capsys):
-        out = run_cli(capsys, "classify", "--mesh-level", "0", "--basis", "hat")
+    def test_classify_runs(self, tmp_path, capsys):
+        out = run_cli(capsys, "classify", "--mesh-level", "0", "--basis", "hat",
+                      "--out", str(tmp_path))
         assert "resistance-like" in out
 
-    def test_demo_inductor_runs(self, capsys):
-        out = run_cli(capsys, "demo-inductor")
+    def test_demo_inductor_runs(self, tmp_path, capsys):
+        out = run_cli(capsys, "demo-inductor", "--out", str(tmp_path))
         assert "observed order" in out

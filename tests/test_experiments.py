@@ -342,8 +342,8 @@ class TestRunners:
         assert len(v) == step + 1
         assert np.all(np.isfinite(i[:step])) and np.all(np.isfinite(v[:step]))
 
-    def test_classify_report_mentions_both_modes(self):
-        text = run_classify(ExperimentConfig(basis_family="hat"))
+    def test_classify_report_mentions_both_modes(self, tmp_path):
+        text = run_classify(ExperimentConfig(basis_family="hat"), tmp_path)["report"]
         assert "mode Ge" in text and "mode G" in text
         assert "inductance-like" in text
         assert "resistance-like" in text
@@ -362,8 +362,8 @@ class TestRunners:
             metric = noise_metric(series.times, trace, cfg.frequency)
             assert metric.noise_rms <= 1e-9 * metric.fundamental_amplitude
 
-    def test_demo_inductor_orders_and_noise(self):
-        text = demo_inductor(ExperimentConfig())
+    def test_demo_inductor_orders_and_noise(self, tmp_path):
+        text = demo_inductor(ExperimentConfig(), tmp_path)["report"]
         orders = [
             float(line.rsplit("=", 1)[1])
             for line in text.splitlines()
@@ -376,6 +376,12 @@ class TestRunners:
             if "rms / bound" in line
         ]
         assert ratio and 1.0 / 3.0 <= ratio[0] <= 3.0
+
+    def test_demo_inductor_labels_each_order_with_its_two_step_sizes(self, tmp_path):
+        text = demo_inductor(ExperimentConfig(duration=2.0e-3), tmp_path)["report"]
+        dts = re.findall(r"^  dt = (\S+):", text, re.M)
+        pairs = re.findall(r"observed order \((\S+) -> (\S+)\)", text)
+        assert len(dts) == 3 and pairs == list(zip(dts, dts[1:]))
 
 
 def _digests(directory):
