@@ -156,13 +156,12 @@ def _quad_radii(mesh: Mesh) -> np.ndarray:
     return np.ascontiguousarray(points.T)
 
 
-def _hat_gradients(mesh: Mesh):
-    """Per-element P1 hat gradients (d/dr, d/dz)."""
+def _hat_gradients(mesh: Mesh, det: np.ndarray):
+    """Per-element P1 hat gradients (d/dr, d/dz); ``det`` is twice each element's area."""
     p = mesh.nodes[mesh.triangles]
     r1, z1 = p[:, 0, 0], p[:, 0, 1]
     r2, z2 = p[:, 1, 0], p[:, 1, 1]
     r3, z3 = p[:, 2, 0], p[:, 2, 1]
-    det = (r2 - r1) * (z3 - z1) - (r3 - r1) * (z2 - z1)
     grad_r = np.stack([(z2 - z3), (z3 - z1), (z1 - z2)], axis=1) / det[:, None]
     grad_z = np.stack([(r3 - r2), (r1 - r3), (r2 - r1)], axis=1) / det[:, None]
     return grad_r, grad_z
@@ -208,7 +207,7 @@ def assemble_stiffness(mesh: Mesh, materials: MaterialSpec, disc: FieldDiscretiz
     ``<1/r>`` the quadrature mean of ``1/r``, is built in place in one
     ``(m, 3, 3)`` buffer.
     """
-    grad_r, grad_z = _hat_gradients(mesh)
+    grad_r, grad_z = _hat_gradients(mesh, 2.0 * disc.areas)
     weights = QUADRATURE_RULE[1]
     inv_r = np.einsum("q,mq->m", weights, 1.0 / disc.quad_r)
     ke = grad_z[:, :, None] * grad_z[:, None, :]

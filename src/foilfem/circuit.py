@@ -20,9 +20,12 @@ order.
 
 Differential-index prediction is topological: the system is index 2 exactly
 when the circuit contains a cutset of inductance-like branches and current
-sources or a loop of capacitors and voltage sources.  Detection is exact at
-desk scale via the spanning-forest criterion, with minimal cutsets enumerated
-on the contracted graph.  The prediction targets the benign topologies this
+sources or a loop of capacitors and voltage sources.  :func:`predict_index`
+reads both off component counts, at any netlist size: contracting every R, C
+and V branch leaves more than one supernode, or adding the V branches to the
+C branches merges fewer components than there are V branches.
+:func:`detect_li_cutsets` enumerates the minimal cutsets on the contracted
+graph, at desk scale.  The prediction targets the benign topologies this
 package builds (passive two-terminal branches, independent sources); exotic
 configurations outside that class are not covered.
 """
@@ -239,21 +242,16 @@ def _union(nodes, pairs):
     return find
 
 
-def _li_contraction(netlist: Netlist, field_classes) -> tuple:
-    """Contract every branch that is neither inductive nor a current source.
+def _contract(netlist: Netlist, kinds: dict, contracted: tuple) -> tuple:
+    """Contract every branch whose effective kind is in ``contracted``.
 
-    Returns the sorted supernodes, ground's supernode and each LI branch as
-    ``(name, supernode+, supernode-)``.  A parsed netlist is connected, so an
-    LI-cutset exists exactly when more than one supernode is left.
+    Returns ``find``, each node's supernode, and the sorted supernodes, ground's
+    included.
     """
-    kinds = _effective_kinds(netlist, field_classes)
-    is_li = {b.name: kinds[b.name] in ("L", "I") for b in netlist.branches}
-    all_nodes = ["0", *netlist.nodes]
-    contracted = [(b.node_pos, b.node_neg) for b in netlist.branches if not is_li[b.name]]
-    find = _union(all_nodes, contracted)
-    li_edges = [(b.name, find(b.node_pos), find(b.node_neg))
-                for b in netlist.branches if is_li[b.name]]
-    return sorted({find(n) for n in all_nodes}), find("0"), li_edges
+    nodes = ["0", *netlist.nodes]
+    pairs = [(b.node_pos, b.node_neg) for b in netlist.branches if kinds[b.name] in contracted]
+    find = _union(nodes, pairs)
+    return find, sorted({find(n) for n in nodes})
 
 
 def detect_li_cutsets(netlist: Netlist, field_classes: Mapping | None = None) -> list:
@@ -263,12 +261,18 @@ def detect_li_cutsets(netlist: Netlist, field_classes: Mapping | None = None) ->
     contracted multigraph that separates some supernode set from ground is a
     cutset of the original circuit.
     """
-    comps, ground, li_edges = _li_contraction(netlist, field_classes)
+    kinds = _effective_kinds(netlist, field_classes)
+    find, comps = _contract(netlist, kinds, ("R", "C", "V"))
     if len(comps) == 1:
         return []
-    others = [c for c in comps if c != ground]
+    others = [c for c in comps if c != find("0")]
     if len(others) > 16:
-        raise ValidationError("cutset enumeration limited to desk-scale netlists")
+        raise ValidationError(
+            "cutset enumeration limited to desk-scale netlists: "
+            f"{len(others)} supernodes besides ground's, at most 16"
+        )
+    li_edges = [(b.name, find(b.node_pos), find(b.node_neg))
+                for b in netlist.branches if kinds[b.name] in ("L", "I")]
     cutsets = []
     seen = set()
     for size in range(1, len(others) + 1):
@@ -293,53 +297,22 @@ def _connected_subset(node_set, edges) -> bool:
     return len({find(n) for n in node_set}) <= 1
 
 
-def detect_cv_loops(netlist: Netlist, field_classes: Mapping | None = None) -> list:
-    """Loops of capacitors and voltage sources containing at least one source."""
-    kinds = _effective_kinds(netlist, field_classes)
-    cv = [b for b in netlist.branches if kinds[b.name] in ("C", "V")]
-    loops = []
-    seen = set()
-    for probe in (b for b in cv if kinds[b.name] == "V"):
-        others = [b for b in cv if b.name != probe.name]
-        path = _find_path(probe.node_pos, probe.node_neg, others)
-        if path is None:
-            continue
-        loop = [probe.name, *path]
-        key = frozenset(loop)
-        if key not in seen:
-            seen.add(key)
-            loops.append(loop)
-    return loops
-
-
-def _find_path(start, goal, branches):
-    """Breadth-first branch path between two nodes; returns branch names."""
-    from collections import deque
-
-    queue = deque([(start, [])])
-    visited = {start}
-    while queue:
-        node, path = queue.popleft()
-        if node == goal:
-            return path
-        for b in branches:
-            if b.node_pos == node and b.node_neg not in visited:
-                visited.add(b.node_neg)
-                queue.append((b.node_neg, path + [b.name]))
-            elif b.node_neg == node and b.node_pos not in visited:
-                visited.add(b.node_pos)
-                queue.append((b.node_pos, path + [b.name]))
-    return None
-
-
 def predict_index(netlist: Netlist, field_classes: Mapping | None = None) -> int:
-    """Differential index of the MNA system: 2 on LI-cutsets or CV-loops, else 1.
+    """Differential index of the MNA system, 2 or 1, read off component counts.
 
-    Whether an LI-cutset exists is read off the contraction, at any netlist size.
+    The index is 2 when contracting every R, C and V branch leaves more than one
+    supernode (an LI-cutset; a parsed netlist is connected), or when adding the V
+    branches to the C branches merges fewer components than there are V branches
+    (some source closes a loop of capacitors and sources).  Otherwise it is 1.
     """
-    if len(_li_contraction(netlist, field_classes)[0]) > 1 or detect_cv_loops(netlist, field_classes):
-        return 2
-    return 1
+    kinds = _effective_kinds(netlist, field_classes)
+
+    def supernodes(*contracted):
+        return len(_contract(netlist, kinds, contracted)[1])
+
+    li_cutset = supernodes("R", "C", "V") > 1
+    cv_loop = supernodes("C") - supernodes("C", "V") < list(kinds.values()).count("V")
+    return 2 if li_cutset or cv_loop else 1
 
 
 @dataclass(frozen=True)
